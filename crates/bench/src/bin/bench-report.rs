@@ -388,15 +388,15 @@ const SCALE_STEMS: &[&str] = &[
 /// beat the pure packet engine by at least this factor.
 const SCALE_MIN_SPEEDUP_100K: f64 = 10.0;
 
-/// Acceptance bar for the shard executor on a machine with at least 8
-/// hardware threads: the 1M-flow sharded run at 8 workers must beat
-/// the same partition at 1 worker by at least this factor.
+/// Acceptance bar for partitioned runs on a machine with at least 8
+/// hardware threads: the 1M-flow 8-cell run at 8 runner workers must
+/// beat the same partition at 1 worker by at least this factor.
 const SCALE_MIN_SPEEDUP_SHARDS8: f64 = 3.0;
 
 /// Regression floor for the 8-worker run on machines with fewer than 8
 /// hardware threads (the recorded "parallelism" field), where a raw
-/// parallel speedup is physically unavailable: the executor's own
-/// overhead (barriers, thread spawn, oversubscription) must still not
+/// parallel speedup is physically unavailable: the runner's own
+/// overhead (thread spawn, oversubscription) must still not
 /// cost more than ~30% against the single-worker run.
 const SCALE_MIN_SPEEDUP_SHARDS8_SERIAL: f64 = 0.7;
 

@@ -6,13 +6,13 @@
 //!   processes (one per engine × flow-count configuration, so each
 //!   peak-RSS reading is isolated) and writes `BENCH_scale.json` with
 //!   flows/sec and peak RSS at 10k/100k flows for both engines plus
-//!   1M flows for the hybrid engine, unsharded and sharded (8 cells at
-//!   1, 4 and 8 executor workers).
+//!   1M flows for the hybrid engine, unsharded and sharded (8 cells run
+//!   as runner jobs at 1, 4 and 8 workers).
 //! * `exp-scale --quick [--flows N]` — in-process smoke run: N flows
-//!   (default 10k) through the sharded executor (4 cells), honouring
-//!   `GFWSIM_ENGINE` and `GFWSIM_SHARDS`. Seed-pure counters go to
-//!   stdout — byte-identical at any worker count, which is what the
-//!   `ci.sh` shard smoke step diffs — while wall-clock and RSS go to
+//!   (default 10k) split into 4 cells run as runner jobs, honouring
+//!   `GFWSIM_ENGINE` and `--jobs`/`GFWSIM_JOBS`. Seed-pure counters go
+//!   to stdout — byte-identical at any worker count, which is what the
+//!   `ci.sh` jobs smoke step diffs — while wall-clock and RSS go to
 //!   stderr. Used by `ci.sh`.
 //! * `exp-scale --measure <engine> <flows> [<cells> <workers>]` —
 //!   child mode: runs one configuration and prints `key=value` lines
@@ -36,7 +36,7 @@ struct Config {
     flows: usize,
     /// Shard cells (0 = unsharded [`scale::measure`] path).
     cells: usize,
-    /// Executor worker threads (ignored when `cells` is 0).
+    /// Runner worker threads (ignored when `cells` is 0).
     workers: usize,
     /// JSON key stem, e.g. `hybrid_100k`.
     stem: &'static str,
@@ -231,7 +231,7 @@ fn main() {
             .and_then(|v| v.parse().ok())
             .unwrap_or(10_000);
         let engine = experiments::engine_mode();
-        let workers = experiments::shards();
+        let workers = runner::effective_jobs();
         let started = std::time::Instant::now();
         let m = scale::measure_sharded(engine, flows, QUICK_CELLS, workers, SEED);
         let wall = started.elapsed();
@@ -239,10 +239,10 @@ fn main() {
             m.completed, flows as u64,
             "exp-scale --quick: not every transfer completed"
         );
-        // Stdout carries only seed-pure counters: the ci.sh shard smoke
-        // step diffs this line across GFWSIM_SHARDS values, and the
-        // shard_determinism suite diffs it across the full worker/
-        // engine/jobs grid. Machine-facts go to stderr.
+        // Stdout carries only seed-pure counters: the ci.sh jobs smoke
+        // step diffs this line across GFWSIM_JOBS values, and the
+        // parallel_determinism suite diffs it across the jobs × engine
+        // grid. Machine-facts go to stderr.
         println!(
             "exp-scale quick: engine={} flows={} cells={} completed={} \
              events={} promoted={}",

@@ -26,7 +26,7 @@ use netsim::conn::TcpTuning;
 use netsim::host::HostConfig;
 use netsim::sim::SimStats;
 use netsim::time::{Duration, SimTime};
-use netsim::{EngineMode, SimConfig, Simulator};
+use netsim::{EngineMode, LinkBandwidth, SimConfig, Simulator};
 use trafficgen::drivers::{BulkTransferClient, Sample};
 
 /// Gap between successive connection arrivals. With mean transfer size
@@ -65,11 +65,63 @@ pub struct Measured {
 
 /// Run the bulk workload once under `engine`.
 pub fn measure(engine: EngineMode, flows: usize, seed: u64) -> Measured {
+    let m = run_cell(engine, flows, 1, 0, seed);
+    crate::runner::record_sim_stats(&m.stats);
+    m
+}
+
+/// Run the bulk workload partitioned into `cells` independent cells,
+/// one runner job per cell on `workers` threads.
+///
+/// Each cell gets its own client/sink pair, an even share of the flow
+/// count, and a `1/cells` slice of the border bandwidth, so the
+/// aggregate workload offers the same load to the same total capacity
+/// as [`measure`] while the event queues shrink by `cells`×. Flows
+/// never cross cells. Per-cell seeds are derived from the cell index
+/// and results merge in cell order, so the counters are a pure
+/// function of `(engine, flows, cells, seed)` — the worker count only
+/// changes wall-clock, never output.
+pub fn measure_sharded(
+    engine: EngineMode,
+    flows: usize,
+    cells: usize,
+    workers: usize,
+    seed: u64,
+) -> Measured {
+    let specs: Vec<_> = (0..cells)
+        .map(|idx| move || run_cell(engine, flows, cells, idx, seed))
+        .collect();
+    let mut merged = Measured {
+        flows: 0,
+        completed: 0,
+        bytes: 0,
+        stats: SimStats {
+            shards: cells as u64,
+            ..SimStats::default()
+        },
+    };
+    for m in crate::runner::run_jobs_with(specs, workers) {
+        merged.flows += m.flows;
+        merged.completed += m.completed;
+        merged.bytes += m.bytes;
+        merged.stats.merge(&m.stats);
+    }
+    crate::runner::record_sim_stats(&merged.stats);
+    merged
+}
+
+/// Build and run cell `idx` of a `cells`-way partition of the bulk
+/// workload: its share of `flows`, a `1/cells` slice of every link's
+/// bandwidth and a cell-salted seed. Cell 0 of 1 is the unpartitioned
+/// workload.
+fn run_cell(engine: EngineMode, flows: usize, cells: usize, idx: usize, seed: u64) -> Measured {
+    let cell_flows = flows / cells + usize::from(idx < flows % cells);
     let config = SimConfig {
         engine,
+        bandwidth: LinkBandwidth::default().divided(cells as u64),
         ..SimConfig::default()
     };
-    let mut sim = Simulator::new(config, seed);
+    let mut sim = Simulator::new(config, seed ^ (idx as u64).wrapping_mul(0x9E37));
     let server = sim.add_host(HostConfig::outside("bulk-sink"));
     let client = sim.add_host(HostConfig::china("bulk-client"));
     let sink = sim.add_app(Box::new(FinSink));
@@ -78,91 +130,17 @@ pub fn measure(engine: EngineMode, flows: usize, seed: u64) -> Measured {
     let (completed, bytes) = bulk.counters();
     let app = sim.add_app(Box::new(bulk));
     let mut at = SimTime::ZERO;
-    for _ in 0..flows {
+    for _ in 0..cell_flows {
         sim.connect_at(at, app, client, (server, 443), TcpTuning::default());
         at += ARRIVAL_GAP;
     }
     sim.run();
-    crate::runner::record_sim_stats(&sim.stats);
     Measured {
-        flows,
+        flows: cell_flows,
         completed: completed.get(),
         bytes: bytes.get(),
         stats: sim.stats,
     }
-}
-
-/// Run the bulk workload partitioned into `cells` independent shard
-/// cells, advanced by `workers` executor threads.
-///
-/// Each cell gets its own client/sink pair, an even share of the flow
-/// count, and a `1/cells` slice of the border bandwidth, so the
-/// aggregate workload offers the same load to the same total capacity
-/// as [`measure`] — the contention regime (ρ ≈ 0.5) is preserved while
-/// the event queues shrink by `cells`×. Flows never cross cells, so the
-/// cells couple as [`netsim::Coupling::Isolated`]; per-cell seeds and
-/// conn-id bases are derived from the cell index, which makes the
-/// counters a pure function of `(engine, flows, cells, seed)` — the
-/// worker count only changes wall-clock, never output.
-pub fn measure_sharded(
-    engine: EngineMode,
-    flows: usize,
-    cells: usize,
-    workers: usize,
-    seed: u64,
-) -> Measured {
-    let per_cell = flows / cells;
-    let remainder = flows % cells;
-    let shard_cells: Vec<netsim::ShardCell<Measured>> = (0..cells)
-        .map(|idx| {
-            let cell_flows = per_cell + usize::from(idx < remainder);
-            netsim::ShardCell::new(move |idx| {
-                let config = SimConfig {
-                    engine,
-                    bandwidth: netsim::LinkBandwidth::default().divided(cells as u64),
-                    ..SimConfig::default()
-                };
-                let mut sim = Simulator::new(config, seed ^ (idx as u64).wrapping_mul(0x9E37));
-                sim.set_conn_id_base((idx as u64) << 48);
-                let server = sim.add_host(HostConfig::outside("bulk-sink"));
-                let client = sim.add_host(HostConfig::china("bulk-client"));
-                let sink = sim.add_app(Box::new(FinSink));
-                sim.listen((server, 443), sink);
-                let bulk = BulkTransferClient::new(Sample::Uniform(SIZE_LO, SIZE_HI));
-                let (completed, bytes) = bulk.counters();
-                let app = sim.add_app(Box::new(bulk));
-                let mut at = SimTime::ZERO;
-                for _ in 0..cell_flows {
-                    sim.connect_at(at, app, client, (server, 443), TcpTuning::default());
-                    at += ARRIVAL_GAP;
-                }
-                let finish: netsim::shard::FinishFn<Measured> =
-                    Box::new(move |sim: Simulator| Measured {
-                        flows: cell_flows,
-                        completed: completed.get(),
-                        bytes: bytes.get(),
-                        stats: sim.stats,
-                    });
-                (sim, finish)
-            })
-        })
-        .collect();
-    let per_cell_out = netsim::run_sharded(shard_cells, workers, netsim::Coupling::Isolated);
-    // Merge in cell order: the totals are partition-order deterministic.
-    let mut merged = Measured {
-        flows: 0,
-        completed: 0,
-        bytes: 0,
-        stats: SimStats::default(),
-    };
-    for m in per_cell_out {
-        merged.flows += m.flows;
-        merged.completed += m.completed;
-        merged.bytes += m.bytes;
-        merged.stats.merge(&m.stats);
-    }
-    crate::runner::record_sim_stats(&merged.stats);
-    merged
 }
 
 /// Both engines over the same workload.

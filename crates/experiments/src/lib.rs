@@ -80,18 +80,3 @@ pub fn engine_mode() -> netsim::EngineMode {
         _ => netsim::EngineMode::Hybrid,
     }
 }
-
-/// Shard executor worker count, from the `GFWSIM_SHARDS` environment
-/// variable (default 1 = run every cell on the calling thread).
-///
-/// This is purely a throughput knob: scenarios that use sharded
-/// execution always partition their hosts into the same fixed cell
-/// layout, and the window schedule is a function of cell state alone,
-/// so output is byte-identical at any worker count. Experiments that
-/// never call [`netsim::run_sharded`] ignore the variable entirely.
-pub fn shards() -> usize {
-    match std::env::var("GFWSIM_SHARDS") {
-        Ok(v) => v.trim().parse().ok().filter(|&n| n >= 1).unwrap_or(1),
-        Err(_) => 1,
-    }
-}

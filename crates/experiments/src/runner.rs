@@ -294,6 +294,24 @@ mod tests {
     }
 
     #[test]
+    fn panicking_job_propagates_without_hanging() {
+        for workers in [1, 2] {
+            let specs: Vec<_> = (0..4)
+                .map(|i| {
+                    move || {
+                        if i == 1 {
+                            panic!("job exploded");
+                        }
+                        i
+                    }
+                })
+                .collect();
+            let caught = std::panic::catch_unwind(|| run_jobs_with(specs, workers));
+            assert!(caught.is_err(), "panic swallowed at {workers} workers");
+        }
+    }
+
+    #[test]
     fn parse_jobs_arg_forms() {
         let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         assert_eq!(parse_jobs_arg(&args(&["exp", "--jobs", "4"])), Some(4));

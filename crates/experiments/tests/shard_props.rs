@@ -1,18 +1,18 @@
-//! Property tests for sharded execution: however the hosts are
-//! partitioned into cells, the merged counters conserve what the
-//! workload delivered — echoed bytes are exact, per-connection verdict
-//! sums are partition-invariant, and the worker count never shows.
+//! Property tests for partitioned execution: however the hosts are
+//! split into independent cells (one runner job each), the merged
+//! counters conserve what the workload delivered — echoed bytes are
+//! exact, per-connection verdict sums are partition-invariant, and the
+//! worker count never shows.
 
+use experiments::runner::run_jobs_with;
 use gfw_core::blocking::BlockingConfig;
 use gfw_core::gfw::VerdictCounters;
 use gfw_core::{Gfw, GfwConfig};
 use netsim::app::{App, AppEvent, Ctx};
 use netsim::conn::TcpTuning;
-use netsim::host::{HostConfig, Region};
-use netsim::packet::Ipv4;
-use netsim::shard::FinishFn;
+use netsim::host::HostConfig;
 use netsim::time::{Duration, SimTime};
-use netsim::{run_sharded, Coupling, ShardCell, SimConfig, Simulator};
+use netsim::{SimConfig, Simulator};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -68,21 +68,21 @@ struct CellOut {
 
 /// Run `n` colocated client/server pairs, assigned to cells by
 /// `assignment` (pair i lives wholly in cell `assignment[i]`), with a
-/// full GFW (blocking disabled) installed in every cell. Labels
-/// even-indexed pairs as genuine Shadowsocks servers.
+/// full GFW (blocking disabled) installed in every cell. Each cell is
+/// one runner job. Labels even-indexed pairs as genuine Shadowsocks
+/// servers.
 fn run_partitioned(assignment: &[usize], workers: usize) -> (u64, VerdictCounters) {
     let cells_n = assignment.iter().copied().max().unwrap_or(0) + 1;
-    let cells: Vec<ShardCell<CellOut>> = (0..cells_n)
-        .map(|cell| {
+    let cells: Vec<_> = (0..cells_n)
+        .map(|idx| {
             let pairs: Vec<usize> = assignment
                 .iter()
                 .enumerate()
-                .filter(|(_, &c)| c == cell)
+                .filter(|(_, &c)| c == idx)
                 .map(|(i, _)| i)
                 .collect();
-            ShardCell::new(move |idx| {
+            move || {
                 let mut sim = Simulator::new(SimConfig::default(), 900 + idx as u64);
-                sim.set_conn_id_base((idx as u64) << 48);
                 let mut config = GfwConfig::default();
                 config.fleet.pool_size = 4;
                 config.blocking = BlockingConfig {
@@ -111,19 +111,18 @@ fn run_partitioned(assignment: &[usize], workers: usize) -> (u64, VerdictCounter
                         TcpTuning::default(),
                     );
                 }
-                let finish: FinishFn<CellOut> = Box::new(move |_sim: Simulator| {
-                    let st = handle.state.borrow();
-                    CellOut {
-                        echoed: *echoed.borrow(),
-                        verdicts: st.verdict_counters(),
-                        tracked: st.tracked_conns(),
-                    }
-                });
-                (sim, finish)
-            })
+                sim.run();
+                let st = handle.state.borrow();
+                let echoed = *echoed.borrow();
+                CellOut {
+                    echoed,
+                    verdicts: st.verdict_counters(),
+                    tracked: st.tracked_conns(),
+                }
+            }
         })
         .collect();
-    let out = run_sharded(cells, workers, Coupling::Isolated);
+    let out = run_jobs_with(cells, workers);
     let mut echoed = 0u64;
     let mut verdicts = VerdictCounters::default();
     for cell in &out {
@@ -132,71 +131,6 @@ fn run_partitioned(assignment: &[usize], workers: usize) -> (u64, VerdictCounter
         assert_eq!(cell.tracked, 0, "a cell's tap leaked per-conn state");
     }
     (echoed, verdicts)
-}
-
-/// Cross-cell variant, no GFW: clients all live in cell 0, each server
-/// either beside them (colocated) or in cell 1 (reached through the
-/// window mailboxes). Returns (echoed bytes, live conns per cell).
-fn run_split(server_remote: &[bool], workers: usize) -> (u64, Vec<u64>) {
-    let n = server_remote.len();
-    let addr = |octet: u8, i: usize| Ipv4::new(octet, 1, (i / 200) as u8, (i % 200) as u8);
-    let remote: Vec<bool> = server_remote.to_vec();
-    let cells: Vec<ShardCell<(u64, u64)>> = (0..2usize)
-        .map(|idx_outer| {
-            let _ = idx_outer;
-            let remote = remote.clone();
-            ShardCell::new(move |idx| {
-                let mut sim = Simulator::new(SimConfig::default(), 300 + idx as u64);
-                sim.set_conn_id_base((idx as u64) << 48);
-                let echoed = Rc::new(RefCell::new(0u64));
-                let client_app = sim.add_app(Box::new(CountingClient {
-                    rng: StdRng::seed_from_u64(9 + idx as u64),
-                    echoed: echoed.clone(),
-                }));
-                let server_app = sim.add_app(Box::new(EchoServer));
-                for (i, &is_remote) in remote.iter().enumerate() {
-                    let client = addr(110, i);
-                    let server = addr(172, i);
-                    if idx == 0 {
-                        sim.add_host_with_addr(client, HostConfig::china("cli"));
-                        if is_remote {
-                            sim.add_remote_host(server, Region::Outside, 1);
-                        } else {
-                            sim.add_host_with_addr(server, HostConfig::outside("srv"));
-                            sim.listen((server, PORT), server_app);
-                        }
-                        sim.connect_at(
-                            SimTime::ZERO + Duration::from_millis(50 * i as u64),
-                            client_app,
-                            client,
-                            (server, PORT),
-                            TcpTuning::default(),
-                        );
-                    } else if is_remote {
-                        sim.add_host_with_addr(server, HostConfig::outside("srv"));
-                        sim.listen((server, PORT), server_app);
-                        sim.add_remote_host(client, Region::China, 0);
-                    }
-                }
-                let finish: FinishFn<(u64, u64)> = Box::new(move |sim: Simulator| {
-                    (*echoed.borrow(), sim.live_connections() as u64)
-                });
-                (sim, finish)
-            })
-        })
-        .collect();
-    let out = run_sharded(
-        cells,
-        workers,
-        Coupling::Windowed {
-            lookahead: Duration::from_millis(2),
-        },
-    );
-    let _ = n;
-    (
-        out.iter().map(|(e, _)| e).sum(),
-        out.iter().map(|(_, l)| *l).collect(),
-    )
 }
 
 proptest! {
@@ -224,21 +158,4 @@ proptest! {
         prop_assert_eq!(verdicts, verdicts_1);
     }
 
-    /// Random client/server splits across two windowed cells deliver
-    /// every echoed byte through the mailboxes and leak no connections,
-    /// identically at any worker count.
-    #[test]
-    fn cross_cell_splits_conserve_bytes(
-        server_remote in proptest::collection::vec(any::<bool>(), 1..=6),
-        workers in 1usize..=3,
-    ) {
-        let n = server_remote.len() as u64;
-        let (echoed, live) = run_split(&server_remote, workers);
-        prop_assert_eq!(echoed, n * PAYLOAD_LEN as u64);
-        prop_assert_eq!(live.iter().sum::<u64>(), 0, "leaked connections: {:?}", live);
-
-        let (echoed_1, live_1) = run_split(&server_remote, 1);
-        prop_assert_eq!(echoed, echoed_1);
-        prop_assert_eq!(live, live_1);
-    }
 }

@@ -80,8 +80,8 @@ pub const RULES: &[RuleDoc] = &[
         summary: "thread primitives only in `experiments::runner`",
         rationale: "Each `Simulator` is single-threaded by contract (one seeded \
                     RNG, one event queue, `Rc<RefCell>` taps). Parallelism means \
-                    whole simulators per worker in the runner — never threads \
-                    inside the sim.",
+                    whole simulators per runner job — a partitioned run's cells \
+                    are runner jobs too — never threads inside the sim.",
         escape: "`// gfwlint: allow(T1)` with justification; moving the code \
                  into `runner.rs` is almost always the real fix.",
     },

@@ -1,5 +1,5 @@
-//! Fixture shard executor — the one netsim file where threads are
-//! allowed (it runs whole simulators on worker threads).
+//! Fixture shard executor inside a sim crate — T1 forbids this too:
+//! whole simulators per worker belong in `experiments::runner`.
 
 /// Advance a batch of cells on scoped worker threads.
 pub fn run_sharded(cells: Vec<fn()>) {

@@ -201,6 +201,7 @@ fn t1_flags_threads_outside_the_runner() {
             ("T1", "crates/netsim/src/pool.rs", 3),
             ("T1", "crates/netsim/src/pool.rs", 4),
             ("T1", "crates/netsim/src/pool.rs", 11),
+            ("T1", "crates/netsim/src/shard.rs", 6),
         ],
         "got:\n{}",
         render_human(&report)
@@ -208,15 +209,16 @@ fn t1_flags_threads_outside_the_runner() {
     assert!(report.findings[0].message.contains("`std::thread`"));
     assert!(report.findings[1].message.contains("`std::sync::mpsc`"));
     assert!(report.findings[2].message.contains("`thread::spawn`"));
-    // `experiments::runner` and `netsim::shard` both use
-    // `std::thread::scope` and are the two exempt files — neither
-    // produces a finding; the waived diagnostic helper's escape is
-    // honored, not flagged.
+    assert!(report.findings[3].message.contains("`std::thread`"));
+    // `experiments::runner` uses `std::thread::scope` and is the one
+    // exempt file — no finding there; a thread executor inside netsim
+    // is flagged like any other; the waived diagnostic helper's escape
+    // is honored, not flagged.
     assert!(
         !report
             .findings
             .iter()
-            .any(|f| f.file.ends_with("runner.rs") || f.file.ends_with("shard.rs")),
+            .any(|f| f.file.ends_with("runner.rs")),
         "exempt file flagged:\n{}",
         render_human(&report)
     );

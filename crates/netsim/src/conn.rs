@@ -5,7 +5,7 @@ use crate::app::AppId;
 use crate::host::TsClock;
 use crate::packet::{Packet, SocketAddr};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Opaque connection identifier, unique for the lifetime of a simulator.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -250,15 +250,8 @@ pub struct ConnArena {
     slots: VecDeque<ConnSlot>,
     /// ConnId of `slots[0]`.
     base: u64,
-    /// Number of `Live` slots (dense window plus foreign table).
+    /// Number of `Live` slots.
     live: usize,
-    /// Mirror records for cross-shard connections: their ids come from
-    /// another shard's allocator, so they live off the dense window.
-    /// The per-shard id stride (2^48) keeps foreign ids far outside the
-    /// window's index range, and every lookup checks the dense window
-    /// first and touches this map only when it is non-empty — the
-    /// single-shard hot path pays one `is_empty` test.
-    foreign: HashMap<ConnId, Connection>,
 }
 
 impl ConnArena {
@@ -285,25 +278,17 @@ impl ConnArena {
 
     /// The live connection `id`, if any.
     pub fn get(&self, id: ConnId) -> Option<&Connection> {
-        match self.index(id) {
-            Some(i) => match &self.slots[i] {
-                ConnSlot::Live(c) => Some(c),
-                _ => None,
-            },
-            None if !self.foreign.is_empty() => self.foreign.get(&id),
-            None => None,
+        match self.index(id).map(|i| &self.slots[i]) {
+            Some(ConnSlot::Live(c)) => Some(c),
+            _ => None,
         }
     }
 
     /// Mutable access to the live connection `id`.
     pub fn get_mut(&mut self, id: ConnId) -> Option<&mut Connection> {
-        match self.index(id) {
-            Some(i) => match &mut self.slots[i] {
-                ConnSlot::Live(c) => Some(c),
-                _ => None,
-            },
-            None if !self.foreign.is_empty() => self.foreign.get_mut(&id),
-            None => None,
+        match self.index(id).map(|i| &mut self.slots[i]) {
+            Some(ConnSlot::Live(c)) => Some(c),
+            _ => None,
         }
     }
 
@@ -330,45 +315,10 @@ impl ConnArena {
         self.live += 1;
     }
 
-    /// Move the dense window's origin before any id is allocated, so a
-    /// shard cell can hand out ids from its own disjoint namespace
-    /// (`cell * 2^48`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the arena has ever held a connection.
-    pub fn set_base(&mut self, base: u64) {
-        assert!(
-            self.slots.is_empty() && self.foreign.is_empty(),
-            "ConnArena::set_base on a non-empty arena"
-        );
-        self.base = base;
-    }
-
-    /// Insert a mirror record for a connection whose id was allocated on
-    /// another shard. The id must fall outside the dense window (the
-    /// 2^48 per-shard stride guarantees this) and must not already be
-    /// present.
-    pub fn insert_foreign(&mut self, c: Connection) {
-        let id = c.id;
-        debug_assert!(
-            self.index(id).is_none(),
-            "foreign ConnId {} aliases the dense window",
-            id.0
-        );
-        let prev = self.foreign.insert(id, c);
-        debug_assert!(prev.is_none(), "double insert of foreign ConnId {}", id.0);
-        self.live += 1;
-    }
-
     /// Remove and return the live connection `id`, reclaiming any
     /// resolved prefix of the window.
     pub fn remove(&mut self, id: ConnId) -> Option<Connection> {
-        let Some(idx) = self.index(id) else {
-            let c = self.foreign.remove(&id)?;
-            self.live -= 1;
-            return Some(c);
-        };
+        let idx = self.index(id)?;
         match std::mem::replace(&mut self.slots[idx], ConnSlot::Dead) {
             ConnSlot::Live(c) => {
                 self.live -= 1;

@@ -133,10 +133,10 @@ impl LinkBandwidth {
         }
     }
 
-    /// Split every link's capacity across `n` equal shard cells. Each
-    /// cell's fluid model then arbitrates its share independently, so
-    /// the aggregate offered capacity matches the unsharded topology
-    /// regardless of the cell count.
+    /// Split every link's capacity across `n` equal independent cells
+    /// of a partitioned run. Each cell's fluid model then arbitrates
+    /// its share alone, so the aggregate capacity matches the
+    /// unpartitioned topology regardless of the cell count.
     pub fn divided(self, n: u64) -> LinkBandwidth {
         let n = n.max(1);
         LinkBandwidth {

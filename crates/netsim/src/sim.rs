@@ -112,15 +112,6 @@ enum Event {
     /// connect) bounds the event queue — and peak RSS — by the number
     /// of *distinct* connect times in flight, not the number of flows.
     OpenConn,
-    /// Remove a cross-shard connection record whose single-cell removal
-    /// would have happened on the peer's side of the wire (second-FIN
-    /// or RST delivery). Scheduled one link latency after the closing
-    /// segment is sent, so in-flight packets toward this cell are
-    /// delivered or dropped exactly as the shared single-cell record
-    /// would have.
-    ConnReap {
-        conn: ConnId,
-    },
     SynTimeout {
         conn: ConnId,
     },
@@ -135,24 +126,6 @@ enum Event {
         link: LinkId,
         epoch: u64,
     },
-}
-
-/// A packet bound for a host owned by another shard cell, parked in the
-/// sender cell's outbox until the executor forwards it at the next
-/// window boundary. `seq` is the sender cell's emission counter, so
-/// mailboxes can be drained in a deterministic `(arrival, src cell,
-/// seq)` order regardless of worker count.
-#[derive(Debug)]
-pub struct Outbound {
-    /// Cell index that owns the destination host.
-    pub dst_cell: usize,
-    /// Absolute arrival time (link latency and impairment delays are
-    /// applied by the sender, exactly as on an intra-cell link).
-    pub arrival: SimTime,
-    /// Sender-cell emission sequence number.
-    pub seq: u64,
-    /// The packet itself.
-    pub pkt: Packet,
 }
 
 /// Aggregate counters, cheap enough to keep always-on.
@@ -191,15 +164,17 @@ pub struct SimStats {
     /// (counted at completion/settle time, so conservation holds even
     /// for transfers aborted by an RST).
     pub fluid_bytes_modeled: u64,
-    /// Shard cells this counter block covers (0 for an unsharded
-    /// simulator; set by the shard executor, merged with `max`).
+    /// Independent cells this counter block was merged from: 0 for one
+    /// simulator, the cell count for a partitioned run whose driver
+    /// sets it on the merged block (`figures::scale::measure_sharded`).
+    /// Merged with `max`.
     pub shards: u64,
-    /// Packets forwarded across a shard boundary through the window
-    /// mailboxes (counted at the sending cell).
+    /// Always 0. Simulators never exchange packets (cells of a
+    /// partitioned run are independent runner jobs); the field remains
+    /// because `perfbench` reads it.
     pub cross_shard_packets: u64,
-    /// Conservative synchronization windows this cell advanced through
-    /// (every cell of a windowed run counts the same number, so the
-    /// merge takes the max rather than a meaningless sum).
+    /// Always 0, for the same reason as `cross_shard_packets`; kept
+    /// because `perfbench` reads it.
     pub sync_windows: u64,
 }
 
@@ -256,15 +231,6 @@ pub struct Simulator {
     /// the guard that keeps the common (monotone) schedule at exactly
     /// one queue entry.
     next_open_at: Option<SimTime>,
-    /// Hosts owned by other shard cells: address → (region, owning
-    /// cell). Empty for an unsharded simulator — every per-packet check
-    /// is behind an `is_empty` test.
-    remote_hosts: HashMap<Ipv4, (Region, usize)>,
-    /// Packets awaiting cross-shard forwarding (drained by the shard
-    /// executor at window boundaries).
-    outbox: Vec<Outbound>,
-    /// Emission counter for deterministic mailbox ordering.
-    outbox_seq: u64,
     fluid: FluidState,
     rng: StdRng,
     /// Aggregate counters.
@@ -288,9 +254,6 @@ impl Simulator {
             captures: Vec::new(),
             scheduled_connects: VecDeque::new(),
             next_open_at: None,
-            remote_hosts: HashMap::new(),
-            outbox: Vec::new(),
-            outbox_seq: 0,
             fluid: FluidState::new(config.bandwidth),
             rng: StdRng::seed_from_u64(seed),
             stats: SimStats::default(),
@@ -475,91 +438,9 @@ impl Simulator {
         self.now = self.now.max(until);
     }
 
-    // ------------------------------------------------------------------
-    // Shard-cell API (used by `crate::shard`)
-    // ------------------------------------------------------------------
-
-    /// Move this cell's `ConnId` namespace to start at `base` (the
-    /// shard executor uses `cell * 2^48`), so ids allocated by
-    /// different cells never collide. Must be called before the first
-    /// connection is created.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a `ConnId` has already been allocated.
-    pub fn set_conn_id_base(&mut self, base: u64) {
-        assert_eq!(
-            self.next_conn_id, 0,
-            "set_conn_id_base after ConnIds were allocated"
-        );
-        self.next_conn_id = base;
-        self.conns.set_base(base);
-    }
-
-    /// Declare that `addr` is a host owned by shard cell `cell` (with
-    /// the given region, so latency/border decisions match the owning
-    /// cell's). Packets addressed to it are parked in the outbox for
-    /// the executor instead of being delivered locally.
-    pub fn add_remote_host(&mut self, addr: Ipv4, region: Region, cell: usize) {
-        debug_assert!(
-            self.hosts.index_of(addr).is_none(),
-            "remote host {addr:?} is also registered locally"
-        );
-        self.remote_hosts.insert(addr, (region, cell));
-    }
-
-    /// True if any remote hosts are registered (the cell can emit
-    /// cross-shard traffic and must run under `Coupling::Windowed`).
-    pub fn has_remote_hosts(&self) -> bool {
-        !self.remote_hosts.is_empty()
-    }
-
-    /// Time of the earliest queued event, if any. The shard executor
-    /// publishes this before each window barrier.
+    /// Time of the earliest queued event, if any.
     pub fn next_event_time(&mut self) -> Option<SimTime> {
         self.queue.next_time()
-    }
-
-    /// Advance through one conservative synchronization window: process
-    /// every event scheduled strictly before `bound`.
-    pub fn run_window(&mut self, bound: SimTime) {
-        self.stats.sync_windows += 1;
-        while let Some(head) = self.queue.next_time() {
-            if head >= bound {
-                break;
-            }
-            self.step();
-        }
-    }
-
-    /// Drain the cross-shard outbox (packets emitted since the last
-    /// drain, in emission order).
-    pub fn take_outbox(&mut self) -> Vec<Outbound> {
-        std::mem::take(&mut self.outbox)
-    }
-
-    /// True if cross-shard packets are parked awaiting forwarding.
-    pub fn has_pending_outbound(&self) -> bool {
-        !self.outbox.is_empty()
-    }
-
-    /// Deliver a packet forwarded from another shard cell. `arrival`
-    /// must not precede this cell's clock — guaranteed by a lookahead
-    /// no larger than the minimum cross-cell link latency.
-    pub fn inject_packet(&mut self, arrival: SimTime, pkt: Packet) {
-        debug_assert!(
-            arrival >= self.now,
-            "cross-shard arrival {arrival:?} precedes cell time {:?}: lookahead too large",
-            self.now
-        );
-        let at = arrival.max(self.now);
-        self.push(at, Event::Deliver(pkt));
-    }
-
-    /// Record the shard-cell count this simulator ran under (merged
-    /// with `max`, so single-cell runs stay at 0).
-    pub fn mark_shards(&mut self, n: u64) {
-        self.stats.shards = self.stats.shards.max(n);
     }
 
     /// Process one event. Returns false when the queue is empty.
@@ -584,9 +465,6 @@ impl Simulator {
                 }
                 self.arm_open_event();
             }
-            Event::ConnReap { conn } => {
-                self.conns.remove(conn);
-            }
             Event::SynTimeout { conn } => self.handle_syn_timeout(conn),
             Event::RemoteRefused { conn } => self.handle_remote_refused(conn),
             Event::Retransmit { pkt, attempt } => self.handle_retransmit(pkt, attempt),
@@ -605,46 +483,7 @@ impl Simulator {
     }
 
     fn region_of(&self, a: Ipv4) -> Option<Region> {
-        if let Some(h) = self.hosts.by_addr(a) {
-            return Some(h.config.region);
-        }
-        if self.remote_hosts.is_empty() {
-            return None;
-        }
-        self.remote_hosts.get(&a).map(|&(region, _)| region)
-    }
-
-    /// The shard cell owning `a`, when `a` is a registered remote host
-    /// (and not a local one). `None` on the unsharded fast path.
-    fn remote_cell(&self, a: Ipv4) -> Option<usize> {
-        if self.remote_hosts.is_empty() {
-            return None;
-        }
-        if self.hosts.index_of(a).is_some() {
-            return None;
-        }
-        self.remote_hosts.get(&a).map(|&(_, cell)| cell)
-    }
-
-    /// Schedule a delivery, diverting packets addressed to another
-    /// shard cell into the outbox. Latency, jitter, loss and
-    /// duplication have already been applied by the sender — the
-    /// receiving cell just delivers at `at`.
-    fn send_or_mail(&mut self, at: SimTime, pkt: Packet) {
-        match self.remote_cell(pkt.dst.0) {
-            Some(dst_cell) => {
-                self.stats.cross_shard_packets += 1;
-                let seq = self.outbox_seq;
-                self.outbox_seq += 1;
-                self.outbox.push(Outbound {
-                    dst_cell,
-                    arrival: at,
-                    seq,
-                    pkt,
-                });
-            }
-            None => self.push(at, Event::Deliver(pkt)),
-        }
+        self.hosts.by_addr(a).map(|h| h.config.region)
     }
 
     /// Endpoint regions for `pkt`, read from the connection's cached
@@ -816,7 +655,7 @@ impl Simulator {
         let (latency, link) = self.pkt_link(&pkt);
         let base = latency + extra_delay;
         if link.is_noop() {
-            self.send_or_mail(self.now + base, pkt);
+            self.push(self.now + base, Event::Deliver(pkt));
             return;
         }
         let spec = self.config.impairment;
@@ -845,9 +684,9 @@ impl Simulator {
         if link.duplicate > 0.0 && self.rng.gen_bool(link.duplicate_p()) {
             self.stats.packets_duplicated += 1;
             let copy_at = self.now + delay + Duration::from_micros(100);
-            self.send_or_mail(copy_at, pkt.clone());
+            self.push(copy_at, Event::Deliver(pkt.clone()));
         }
-        self.send_or_mail(self.now + delay, pkt);
+        self.push(self.now + delay, Event::Deliver(pkt));
     }
 
     /// Re-emit a lost segment: restamp its send time, mark it as a
@@ -1035,45 +874,6 @@ impl Simulator {
             Bytes::new(),
             Duration::ZERO,
         );
-        if self.remote_cell(dst.0).is_some() {
-            // Cross-shard peer: in a single-cell run both sides share
-            // one record, so this side's half-close would be recorded
-            // by the peer's delivery path. Track it locally instead —
-            // and when this FIN completes the exchange, schedule the
-            // removal one link latency out, the moment the shared
-            // record would have been removed (by this FIN's delivery on
-            // the peer cell). In-flight packets toward this cell are
-            // thereby delivered or dropped exactly as in a single-cell
-            // run.
-            let latency = self.conn_latency(conn);
-            let mut second_close = false;
-            if let Some(c) = self.conns.get_mut(conn) {
-                let by_client = !from_server;
-                match c.state {
-                    ConnState::HalfClosed { by_client: first } if first != by_client => {
-                        second_close = true;
-                    }
-                    ConnState::Closed => second_close = true,
-                    ConnState::HalfClosed { .. } => {}
-                    _ => c.state = ConnState::HalfClosed { by_client },
-                }
-            }
-            if second_close {
-                self.push(self.now + latency, Event::ConnReap { conn });
-            }
-        }
-    }
-
-    /// One-way latency between the endpoints of `conn`, from its cached
-    /// regions (cross-border when they differ — the same rule as
-    /// [`Simulator::pkt_link`], without impairment extras).
-    fn conn_latency(&self, conn: ConnId) -> Duration {
-        match self.conns.get(conn) {
-            Some(c) if c.client_region.is_some() && c.client_region == c.server_region => {
-                self.config.intra_region_latency
-            }
-            _ => self.config.cross_border_latency,
-        }
     }
 
     fn do_rst(&mut self, owner: AppId, conn: ConnId) {
@@ -1110,15 +910,6 @@ impl Simulator {
             Bytes::new(),
             Duration::ZERO,
         );
-        if self.remote_cell(dst.0).is_some() {
-            // Cross-shard peer: the RST delivery that removes the
-            // shared record in a single-cell run happens on the other
-            // cell, one link latency from now. Keep this side's record
-            // (state untouched, as in a single-cell run) until then so
-            // in-flight packets toward this cell behave identically.
-            let latency = self.conn_latency(conn);
-            self.push(self.now + latency, Event::ConnReap { conn });
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1161,15 +952,9 @@ impl Simulator {
                 None => self.config.mss,
             }
         };
-        // Cross-shard connections (one endpoint hosted on another
-        // cell) stay at packet fidelity: the fluid model credits
-        // delivery without wire packets, which would leave the remote
-        // peer's cell blind to the bytes.
         let fluidize = self.config.engine == EngineMode::Hybrid
             && c.state == ConnState::Established
             && !shaped
-            && c.client_host.is_some()
-            && c.server_host.is_some()
             && self.config.impairment.is_noop()
             && self.fluid.can_promote(link);
         let phase = if fluidize {
@@ -1314,19 +1099,7 @@ impl Simulator {
         let client_host = self.hosts.index_of(from);
         let server_host = self.hosts.index_of(to.0);
         let client_region = client_host.map(|h| self.hosts.get(h).config.region);
-        // A server on another shard cell has no local host entry, but
-        // its region is known from the remote registry, so latency and
-        // border decisions match the single-cell schedule.
-        let remote_server = server_host.is_none() && self.remote_cell(to.0).is_some();
-        let server_region = server_host
-            .map(|h| self.hosts.get(h).config.region)
-            .or_else(|| {
-                if remote_server {
-                    self.region_of(to.0)
-                } else {
-                    None
-                }
-            });
+        let server_region = server_host.map(|h| self.hosts.get(h).config.region);
         let src_port = tuning.src_port.unwrap_or_else(|| {
             let policy = client_host
                 .map(|h| self.hosts.get(h).config.port_policy)
@@ -1386,7 +1159,7 @@ impl Simulator {
         let syn_timeout = client_host
             .map(|h| self.hosts.get(h).config.syn_timeout)
             .unwrap_or(Duration::from_secs(20));
-        if server_host.is_some() || remote_server {
+        if server_host.is_some() {
             self.push(self.now + syn_timeout, Event::SynTimeout { conn });
         } else {
             // Unregistered destination: the Internet model decides.
@@ -1403,9 +1176,6 @@ impl Simulator {
 
     fn handle_deliver(&mut self, pkt: Packet) {
         let conn = pkt.conn;
-        if !self.remote_hosts.is_empty() && self.conns.get(conn).is_none() {
-            self.try_adopt_remote_conn(&pkt);
-        }
         let Some(c) = self.conns.get_mut(conn) else {
             return;
         };
@@ -1447,57 +1217,6 @@ impl Simulator {
         }
     }
 
-    /// A packet arrived for a connection this cell has never seen: if
-    /// it is the opening SYN of a cross-shard flow (registered remote
-    /// client, local server), materialize a mirror record so the server
-    /// side of the state machine can run here. The mirror's client app
-    /// is a sentinel id that dispatches to nothing — the real client
-    /// app lives on the emitting cell and learns everything from wire
-    /// packets mailed back.
-    fn try_adopt_remote_conn(&mut self, pkt: &Packet) {
-        if !pkt.flags.syn || pkt.flags.ack {
-            return;
-        }
-        let Some(server_host) = self.hosts.index_of(pkt.dst.0) else {
-            return;
-        };
-        let Some(&(client_region, _)) = self.remote_hosts.get(&pkt.src.0) else {
-            return;
-        };
-        let server_region = Some(self.hosts.get(server_host).config.region);
-        let server_isn: u32 = self.rng.gen();
-        let reorder = if self.config.impairment.is_noop() {
-            None
-        } else {
-            Some(Box::new(ReorderState {
-                to_server: DirSeq::new(pkt.seq.wrapping_add(1)),
-                to_client: DirSeq::new(server_isn.wrapping_add(1)),
-            }))
-        };
-        self.conns.insert_foreign(Connection {
-            id: pkt.conn,
-            client: pkt.src,
-            server: pkt.dst,
-            client_host: None,
-            server_host: Some(server_host),
-            client_region: Some(client_region),
-            server_region,
-            server_notified: false,
-            client_app: AppId(u32::MAX),
-            server_app: None,
-            state: ConnState::SynSent,
-            tuning: TcpTuning::default(),
-            client_seq: pkt.seq.wrapping_add(1),
-            server_seq: server_isn,
-            client_send_cap: None,
-            client_bytes_seen: 0,
-            client_sent_data: false,
-            fluid: false,
-            close_reason: None,
-            reorder,
-        });
-    }
-
     /// Interpret one in-order (or pre-sequencer control) packet.
     fn deliver_ordered(&mut self, pkt: Packet) {
         let conn = pkt.conn;
@@ -1512,13 +1231,6 @@ impl Simulator {
                 self.demote_and_flush(conn);
             }
         }
-        // On a sharded cell, one side of a cross-shard connection has
-        // no local peer record updating the shared sequence state, so
-        // the missing side's counters are adopted from the wire. Both
-        // guards are vacuous off the sharded path: `sharded` is false,
-        // and conns with an absent host are Internet-model conns that
-        // never receive packets.
-        let sharded = !self.remote_hosts.is_empty();
         let Some(c) = self.conns.get_mut(conn) else {
             return;
         };
@@ -1559,11 +1271,6 @@ impl Simulator {
             // SYN-ACK at the client: established.
             if c.state == ConnState::SynSent {
                 c.state = ConnState::Established;
-                if sharded && c.server_host.is_none() {
-                    // Cross-shard server: its ISN was drawn on the
-                    // owning cell; adopt it from the wire.
-                    c.server_seq = pkt.seq.wrapping_add(1);
-                }
                 if pkt.window != 65535 {
                     c.client_send_cap = Some(pkt.window.max(1));
                 }
@@ -1586,13 +1293,6 @@ impl Simulator {
         }
 
         if pkt.flags.fin {
-            if sharded {
-                if to_server && c.client_host.is_none() {
-                    c.client_seq = pkt.seq.wrapping_add(1);
-                } else if !to_server && c.server_host.is_none() {
-                    c.server_seq = pkt.seq.wrapping_add(1);
-                }
-            }
             let by_client = to_server;
             let mut fully_closed = false;
             match c.state {
@@ -1621,20 +1321,6 @@ impl Simulator {
         }
 
         if pkt.has_payload() {
-            if sharded {
-                let len = pkt.payload.len() as u32;
-                if to_server && c.client_host.is_none() {
-                    c.client_seq = pkt.seq.wrapping_add(len);
-                    if c.state == ConnState::SynSent {
-                        // The handshake-completing ACK can be lost
-                        // under impairment; first data also proves the
-                        // remote client is established.
-                        c.state = ConnState::Established;
-                    }
-                } else if !to_server && c.server_host.is_none() {
-                    c.server_seq = pkt.seq.wrapping_add(len);
-                }
-            }
             if to_server {
                 c.client_bytes_seen += pkt.payload.len();
                 c.client_sent_data = true;
@@ -1679,12 +1365,6 @@ impl Simulator {
 
         // Pure ACK completing the handshake: tell the listener app.
         if pkt.flags.ack && to_server {
-            if sharded && c.client_host.is_none() && c.state == ConnState::SynSent {
-                // Mirror record: the client's Established transition
-                // happened on its own cell; the handshake ACK is this
-                // cell's proof.
-                c.state = ConnState::Established;
-            }
             if let Some(app) = c.server_app {
                 let (peer, local) = (c.client, c.server);
                 if !c.server_notified {
@@ -1757,13 +1437,6 @@ impl Simulator {
                     Bytes::new(),
                     Duration::ZERO,
                 );
-                if self.remote_cell(client.0).is_some() {
-                    // The refusal RST was mailed to the client's cell
-                    // (which removes its record on delivery); the
-                    // mirror record would otherwise leak — no
-                    // SynTimeout runs on the server cell.
-                    self.conns.remove(conn);
-                }
             }
         }
     }
