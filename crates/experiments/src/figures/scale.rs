@@ -112,8 +112,9 @@ pub fn measure_sharded(
 
 /// Build and run cell `idx` of a `cells`-way partition of the bulk
 /// workload: its share of `flows`, a `1/cells` slice of every link's
-/// bandwidth and a cell-salted seed. Cell 0 of 1 is the unpartitioned
-/// workload.
+/// bandwidth, arrivals `cells`× further apart (so each cell offers
+/// `1/cells` of the load and stays at ρ ≈ 0.5) and a cell-salted seed.
+/// Cell 0 of 1 is the unpartitioned workload.
 fn run_cell(engine: EngineMode, flows: usize, cells: usize, idx: usize, seed: u64) -> Measured {
     let cell_flows = flows / cells + usize::from(idx < flows % cells);
     let config = SimConfig {
@@ -132,7 +133,7 @@ fn run_cell(engine: EngineMode, flows: usize, cells: usize, idx: usize, seed: u6
     let mut at = SimTime::ZERO;
     for _ in 0..cell_flows {
         sim.connect_at(at, app, client, (server, 443), TcpTuning::default());
-        at += ARRIVAL_GAP;
+        at += ARRIVAL_GAP * cells as u64;
     }
     sim.run();
     Measured {
@@ -264,6 +265,24 @@ mod tests {
         let m = measure_sharded(EngineMode::Packet, 601, 4, 2, 6);
         assert_eq!(m.flows, 601);
         assert_eq!(m.completed, 601);
+    }
+
+    #[test]
+    fn sharded_cells_keep_the_unsharded_load_regime() {
+        // Each cell gets 1/cells of the bandwidth and 1/cells of the
+        // arrivals, so it runs at the unsharded ρ ≈ 0.5: hybrid events
+        // per flow match the unsharded run's exactly.
+        let flows = 2_000;
+        let solo = measure(EngineMode::Hybrid, flows, 5);
+        let four = measure_sharded(EngineMode::Hybrid, flows, 4, 2, 5);
+        assert_eq!(four.completed, flows as u64);
+        assert_eq!(
+            four.stats.events * solo.flows as u64,
+            solo.stats.events * four.flows as u64,
+            "events per flow: sharded {} vs unsharded {}",
+            four.stats.events as f64 / four.flows as f64,
+            solo.stats.events as f64 / solo.flows as f64,
+        );
     }
 
     #[test]
