@@ -74,9 +74,9 @@ pub fn measure(engine: EngineMode, flows: usize, seed: u64) -> Measured {
 /// one runner job per cell on `workers` threads.
 ///
 /// Each cell gets its own client/sink pair, an even share of the flow
-/// count, and a `1/cells` slice of the border bandwidth, so the
-/// aggregate workload offers the same load to the same total capacity
-/// as [`measure`] while the event queues shrink by `cells`×. Flows
+/// count and arrival rate, and a `1/cells` slice of the border
+/// bandwidth, so every cell runs in [`measure`]'s contention regime
+/// (ρ ≈ 0.5) while the event queues shrink by `cells`×. Flows
 /// never cross cells. Per-cell seeds are derived from the cell index
 /// and results merge in cell order, so the counters are a pure
 /// function of `(engine, flows, cells, seed)` — the worker count only
