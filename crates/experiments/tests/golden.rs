@@ -1,5 +1,6 @@
 //! Golden-output tests: the rendered reports of representative
-//! experiments are pinned byte-for-byte under `tests/golden/`.
+//! experiments, and of the whole `exp-all` registry, are pinned
+//! byte-for-byte under `tests/golden/`.
 //!
 //! The determinism contract makes this cheap to maintain: output
 //! depends only on (scale, seed), never on worker count or wall clock,
@@ -84,4 +85,12 @@ fn exp_fig7_matches_golden() {
 #[test]
 fn exp_baserate_matches_golden() {
     check(env!("CARGO_BIN_EXE_exp-baserate"), "exp-baserate");
+}
+
+/// The whole registry at default scale: every figure and table in one
+/// snapshot, so a refactor anywhere in the pipeline is caught by the
+/// experiment it changes.
+#[test]
+fn exp_all_matches_golden() {
+    check(env!("CARGO_BIN_EXE_exp-all"), "exp-all");
 }
