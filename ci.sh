@@ -95,8 +95,10 @@ echo "==> release tests with overflow checks (hot-path crates)"
 CARGO_TARGET_DIR=target/ovf RUSTFLAGS="-C overflow-checks=on" \
     cargo test -q --release -p sscrypto -p netsim -p gfw-core -p shadowsocks
 
-echo "==> exp-all --jobs 2 smoke (quick scale)"
-./target/release/exp-all --jobs 2 --only fig2,fig10,table4 > /dev/null
+echo "==> exp-all registry vs golden at 1 worker (quick scale)"
+# The golden is recorded at 2 workers; the full registry at 1 worker
+# must reproduce it byte for byte.
+GFWSIM_JOBS=1 ./target/release/exp-all | cmp - crates/experiments/tests/golden/exp-all.txt
 
 echo "==> exp-impair --jobs 2 smoke (quick scale)"
 ./target/release/exp-impair --jobs 2 > /dev/null

@@ -137,6 +137,8 @@ pub struct GfwState {
     pub inspected: u64,
     /// Ground-truth-aware store-decision outcomes (evaluation only).
     verdicts: VerdictCounters,
+    /// Probe-order wake-ups the controller handled.
+    order_wakeups: u64,
     /// Ground-truth labels: destinations that really run Shadowsocks.
     truth: HashSet<Ipv4>,
     /// Stored-payload counts keyed by destination endpoint, for
@@ -176,6 +178,7 @@ impl Gfw {
             conn_track: HashMap::new(),
             inspected: 0,
             verdicts: VerdictCounters::default(),
+            order_wakeups: 0,
             truth: HashSet::new(),
             stored_by_server: HashMap::new(),
             rng: StdRng::seed_from_u64(seed),
@@ -257,7 +260,7 @@ impl Tap for GfwTap {
                 *count = count.wrapping_add(1);
                 let GfwState { scheduler, rng, .. } = &mut *st;
                 scheduler.on_stored_payload(ctx.now, server, &pkt.payload, rng);
-                if let Some(due) = st.scheduler.next_due() {
+                if let Some(due) = st.scheduler.arm() {
                     ctx.wake_app(st.controller, due, TOKEN_ORDERS);
                 }
             }
@@ -323,9 +326,14 @@ impl GfwController {
                 },
             );
         }
-        // Re-arm for the next order.
-        let next = self.state.borrow_mut().scheduler.next_due();
-        if let Some(due) = next {
+        self.arm(ctx);
+    }
+
+    /// Set a wake-up for the next due order unless one is already armed
+    /// for its time.
+    fn arm(&self, ctx: &mut Ctx) {
+        let due = self.state.borrow_mut().scheduler.arm();
+        if let Some(due) = due {
             ctx.set_timer(due.since(ctx.now), TOKEN_ORDERS);
         }
     }
@@ -389,10 +397,7 @@ impl GfwController {
         }
         drop(st);
         // Wake ourselves in case stage-2 unlock queued new orders.
-        let next = self.state.borrow_mut().scheduler.next_due();
-        if let Some(due) = next {
-            ctx.set_timer(due.since(ctx.now), TOKEN_ORDERS);
-        }
+        self.arm(ctx);
     }
 }
 
@@ -400,6 +405,11 @@ impl App for GfwController {
     fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx) {
         match ev {
             AppEvent::Timer { token } if token == TOKEN_ORDERS => {
+                {
+                    let mut st = self.state.borrow_mut();
+                    st.order_wakeups += 1;
+                    st.scheduler.fired(ctx.now);
+                }
                 self.launch_due(ctx);
             }
             AppEvent::Timer { token } => {
@@ -454,6 +464,13 @@ impl GfwState {
     /// Immutable access to the probe log.
     pub fn probes(&self) -> &[ProbeRecord] {
         &self.probe_log
+    }
+
+    /// How many probe-order wake-ups the controller handled. Seed-pure.
+    /// The scheduler arms one wake-up per due time and each pops at
+    /// least one order, so this never exceeds `probes().len()`.
+    pub fn order_wakeups(&self) -> u64 {
+        self.order_wakeups
     }
 
     /// How many first-data packets the passive stage inspected.

@@ -174,6 +174,11 @@ impl<'a> Ctx<'a> {
     }
 
     /// Request a timer callback `after` from now, echoing `token`.
+    ///
+    /// Timers cannot be cancelled, and each one costs an event when it
+    /// fires, whether or not the app still wants it. An app that re-arms
+    /// whenever its state changes must dedupe, e.g. arm at most one timer
+    /// per wake-up time.
     pub fn set_timer(&mut self, after: Duration, token: u64) {
         self.commands.push((
             self.app,

@@ -368,6 +368,9 @@ impl Simulator {
     }
 
     /// Schedule a timer for `app` at absolute time `at`.
+    ///
+    /// Timers cannot be cancelled; each one costs an event when it
+    /// fires. Callers that re-arm on state changes must dedupe.
     pub fn set_timer_at(&mut self, at: SimTime, app: AppId, token: u64) {
         let at = at.max(self.now);
         self.push(at, Event::Timer { app, token });

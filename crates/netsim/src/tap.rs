@@ -38,6 +38,10 @@ impl TapCtx {
     }
 
     /// Arrange for `app` to receive `AppEvent::Timer { token }` at `at`.
+    ///
+    /// Like [`crate::app::Ctx::set_timer`], the wake-up cannot be
+    /// cancelled and costs one event when it fires; a tap that wakes an
+    /// app on every packet of interest must dedupe.
     pub fn wake_app(&mut self, app: AppId, at: SimTime, token: u64) {
         self.wakeups.push((app, at.max(self.now), token));
     }
