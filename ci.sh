@@ -8,8 +8,11 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
-echo "==> cargo clippy -D warnings"
-cargo clippy --all-targets -- -D warnings
+echo "==> cargo clippy --workspace -D warnings"
+# --workspace so every member's tests, benches and bins are linted, not
+# just the root package: the determinism bans in crates/clippy.toml and
+# the [workspace.lints] table cover them all.
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> gfw-lint"
 cargo run -q -p gfw-lint

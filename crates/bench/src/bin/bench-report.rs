@@ -230,7 +230,10 @@ fn bench_seal(method: Method, total_bytes: usize, runs: usize) -> f64 {
         let mut sink = 0usize;
         let t = Instant::now();
         for _ in 0..iters {
-            sink += enc.seal(&plain).len();
+            // A fresh buffer per call, as a connection's send path has.
+            let mut ct = Vec::new();
+            enc.seal_into(&plain, &mut ct);
+            sink += ct.len();
         }
         let rate = (iters * plain.len()) as f64 / t.elapsed().as_secs_f64() / 1e6;
         assert!(sink > iters * plain.len());
@@ -249,7 +252,7 @@ fn bench_open(method: Method, total_bytes: usize, runs: usize) -> f64 {
     let mut enc = AeadEncryptor::new(method, &key, vec![0x42u8; method.iv_len()]);
     let mut ct = Vec::new();
     for _ in 0..iters {
-        ct.extend_from_slice(&enc.seal(&plain));
+        enc.seal_into(&plain, &mut ct);
     }
     let mut best = 0.0f64;
     for _ in 0..runs {

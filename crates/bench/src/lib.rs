@@ -13,9 +13,6 @@
 //!
 //! This library only hosts shared helpers.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

@@ -14,9 +14,6 @@
 //!   §3.5/§7.2 asymmetry), and consistent server reactions ("read
 //!   forever on error").
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod brdgrd;
 pub mod shaping;
 pub mod timing_filter;

@@ -29,9 +29,6 @@
 //! carries assertable fields used by both the crate tests and the
 //! Criterion benches in `crates/bench`.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod export;
 pub mod figures;
 pub mod report;

@@ -1,7 +1,7 @@
 //! The deterministic parallel run engine.
 //!
 //! Every experiment in this crate is a pure function of its seed
-//! (gfw-lint rule D1), which makes the evaluation grid embarrassingly
+//! (the clock bans in `crates/clippy.toml`), which makes the evaluation grid embarrassingly
 //! parallel with **zero determinism risk**:
 //!
 //! * a [`Job`] is plain `Send` data (a spec) plus the computation that
@@ -17,8 +17,14 @@
 //! worker execute nested [`run_jobs`] calls inline, so fanning out
 //! across figures in `exp-all` never oversubscribes the machine.
 //!
-//! Thread primitives are permitted only in this module (gfw-lint rule
-//! T1); the simulation crates stay single-threaded.
+//! Thread primitives are permitted only in this module: the thread bans
+//! in `crates/clippy.toml` and `crates/experiments/clippy.toml` have
+//! this one exemption, so the simulation crates stay single-threaded.
+
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the run engine is the one home of worker threads; each job builds its own single-threaded Simulator"
+)]
 
 use netsim::sim::SimStats;
 use std::cell::Cell;

@@ -632,7 +632,7 @@ fn parse_params(
         // Split at the top-level `:` (angle-bracket aware for the type).
         let Some(colon) = part
             .iter()
-            .position(|&i| toks[*&i].kind == TokKind::Punct(':'))
+            .position(|&i| toks[i].kind == TokKind::Punct(':'))
         else {
             continue;
         };

@@ -14,19 +14,8 @@ use crate::scan::{has_token, SourceFile};
 use crate::{AllowUse, Finding, Report, Site, Workspace};
 use std::collections::BTreeMap;
 
-/// Crates whose behaviour must be a pure function of the seed (D1).
-pub const SIM_CRATES: &[&str] = &["core", "netsim", "probesim", "trafficgen", "defense"];
-
 /// Crates with a panic-site budget (P1).
 pub const PANIC_BUDGET_CRATES: &[&str] = &["core", "netsim", "sscrypto"];
-
-/// Wall-clock / OS-entropy tokens banned in simulation crates.
-const D1_TOKENS: &[&str] = &[
-    "SystemTime::now",
-    "Instant::now",
-    "thread_rng",
-    "from_entropy",
-];
 
 /// Explicit panic-site tokens counted by P1.
 const PANIC_TOKENS: &[&str] = &[".unwrap()", ".expect(", "panic!", "unreachable!"];
@@ -50,48 +39,6 @@ pub const ALLOC_BUDGET_AREAS: &[(&str, &str, &str)] = &[
 /// allocations the zero-copy codec work removed from the crypto hot
 /// path; the budget keeps them from creeping back.
 const ALLOC_TOKENS: &[&str] = &[".to_vec()", "Vec::new()", ".clone()"];
-
-/// Crates that must stay single-threaded-deterministic (T1): the
-/// simulation stack never spawns threads or uses channel-based
-/// concurrency — all parallelism lives in `experiments::runner`.
-pub const SINGLE_THREADED_CRATES: &[&str] = &[
-    "core",
-    "netsim",
-    "probesim",
-    "trafficgen",
-    "defense",
-    "shadowsocks",
-    "sscrypto",
-];
-
-/// Threading primitives banned outside the run engine. `std::thread`
-/// also covers `thread::spawn`/`scope`/`Builder` via the path prefix;
-/// the bare forms are listed for `use`-renamed call sites.
-const T1_TOKENS: &[&str] = &[
-    "std::thread",
-    "thread::spawn",
-    "thread::scope",
-    "thread::Builder",
-    "std::sync::mpsc",
-    "rayon",
-];
-
-/// The one place threads are allowed: the experiment run engine. It
-/// gets its parallelism by building a whole `Simulator` per job — a
-/// partitioned run's cells are runner jobs too — so the simulators
-/// themselves stay single-threaded, which is exactly the property T1
-/// protects.
-const T1_EXEMPT: &[&str] = &["crates/experiments/src/runner.rs"];
-
-/// The scheduling structure T2 bans. Both the simulator's event queue
-/// and the GFW scheduler replaced `BinaryHeap<Reverse<..>>` with the
-/// timer wheel; a heap reappearing on a hot path would silently undo
-/// that and reintroduce `O(log n)` comparison churn per event.
-const T2_TOKEN: &str = "BinaryHeap";
-
-/// The one place a heap survives: the timer wheel's far-future
-/// overflow store inside the event queue itself.
-const T2_EVENTQ: &str = "crates/netsim/src/eventq.rs";
 
 /// The paper's IV/salt length table (Fig 10 row groups): every
 /// `sscrypto::method::Method` variant and the byte length its
@@ -141,185 +88,6 @@ fn allowed(report: &mut Report, rule: &str, file: &SourceFile, idx: usize) -> bo
         true
     } else {
         false
-    }
-}
-
-/// D1: no wall-clock or OS-entropy calls in simulation crates.
-pub fn d1_determinism(ws: &Workspace, report: &mut Report) {
-    for crate_name in SIM_CRATES {
-        let prefix = format!("crates/{crate_name}/");
-        let rels: Vec<String> = ws.sources_under(&prefix).map(|f| f.rel.clone()).collect();
-        for rel in rels {
-            let file = &ws.sources[&rel];
-            let mut hits = Vec::new();
-            for (idx, line) in file.lines.iter().enumerate() {
-                for token in D1_TOKENS {
-                    if has_token(&line.code, token) {
-                        hits.push((idx, *token));
-                    }
-                }
-            }
-            for (idx, token) in hits {
-                if allowed(report, "D1", &ws.sources[&rel], idx) {
-                    continue;
-                }
-                report.findings.push(Finding {
-                    rule: "D1",
-                    file: rel.clone(),
-                    line: idx + 1,
-                    message: format!(
-                        "`{token}` in simulation crate `{crate_name}`: simulations must \
-                         derive all time and randomness from the seeded simulator state"
-                    ),
-                });
-            }
-        }
-    }
-}
-
-/// T1: thread primitives only inside `experiments::runner`.
-///
-/// The simulators are pure functions of the seed precisely because
-/// each `Simulator` lives on one thread (`Rc<RefCell>` taps, one
-/// `StdRng`, one event queue). Any thread spawned inside a sim crate
-/// would either fail to compile (`!Send`) or, worse, introduce
-/// scheduling nondeterminism that D1 cannot see. The run engine gets
-/// its parallelism by building a whole `Simulator` per worker, so the
-/// only legitimate home for `std::thread` is `runner.rs` itself.
-pub fn t1_thread_isolation(ws: &Workspace, report: &mut Report) {
-    let mut prefixes: Vec<String> = SINGLE_THREADED_CRATES
-        .iter()
-        .map(|c| format!("crates/{c}/"))
-        .collect();
-    prefixes.push("crates/experiments/".to_string());
-    for prefix in prefixes {
-        let rels: Vec<String> = ws
-            .sources_under(&prefix)
-            .filter(|f| !T1_EXEMPT.contains(&f.rel.as_str()))
-            .map(|f| f.rel.clone())
-            .collect();
-        for rel in rels {
-            let file = &ws.sources[&rel];
-            let mut hits = Vec::new();
-            for (idx, line) in file.lines.iter().enumerate() {
-                // One finding per line: the tokens overlap by design
-                // (`std::thread::spawn` matches two of them).
-                if let Some(token) = T1_TOKENS.iter().find(|t| has_token(&line.code, t)) {
-                    hits.push((idx, *token));
-                }
-            }
-            for (idx, token) in hits {
-                if allowed(report, "T1", &ws.sources[&rel], idx) {
-                    continue;
-                }
-                report.findings.push(Finding {
-                    rule: "T1",
-                    file: rel.clone(),
-                    line: idx + 1,
-                    message: format!(
-                        "`{token}` outside `experiments::runner`: simulation code is \
-                         single-threaded by contract; declare parallel work as runner \
-                         jobs instead"
-                    ),
-                });
-            }
-        }
-    }
-}
-
-/// T2: `BinaryHeap` only inside `netsim::eventq`.
-///
-/// The hierarchical timer wheel in `netsim::eventq` is the workspace's
-/// one scheduling structure; everything time-ordered (simulator events,
-/// GFW probe orders) routes through `EventQueue`. Non-test code in the
-/// single-threaded crates and `experiments` must not grow a new heap.
-/// Test code is exempt: the differential property test keeps a
-/// `BinaryHeap` reference on purpose, as the oracle the wheel is
-/// checked against.
-pub fn t2_heap_isolation(ws: &Workspace, report: &mut Report) {
-    let mut prefixes: Vec<String> = SINGLE_THREADED_CRATES
-        .iter()
-        .map(|c| format!("crates/{c}/"))
-        .collect();
-    prefixes.push("crates/experiments/".to_string());
-    for prefix in prefixes {
-        let rels: Vec<String> = ws
-            .sources_under(&prefix)
-            .filter(|f| f.rel != T2_EVENTQ && !f.rel.contains("/tests/"))
-            .map(|f| f.rel.clone())
-            .collect();
-        for rel in rels {
-            let file = &ws.sources[&rel];
-            let mut hits = Vec::new();
-            for (idx, line) in file.lines.iter().enumerate() {
-                if !line.in_test && has_token(&line.code, T2_TOKEN) {
-                    hits.push(idx);
-                }
-            }
-            for idx in hits {
-                if allowed(report, "T2", &ws.sources[&rel], idx) {
-                    continue;
-                }
-                report.findings.push(Finding {
-                    rule: "T2",
-                    file: rel.clone(),
-                    line: idx + 1,
-                    message: format!(
-                        "`{T2_TOKEN}` outside `netsim::eventq`: the timer wheel is the \
-                         workspace's one scheduling structure; queue time-ordered work \
-                         through `netsim::eventq::EventQueue` instead"
-                    ),
-                });
-            }
-        }
-    }
-}
-
-/// D2: every crate root file carries both lint attributes.
-///
-/// A crate with a non-zero `[unsafe-budget]` entry cannot use
-/// `#![forbid(unsafe_code)]` (forbid rejects item-level overrides), so
-/// for those crates `#![deny(unsafe_code)]` satisfies the rule — the
-/// audited islands then go through `#[allow(unsafe_code)]` and rule U1.
-pub fn d2_crate_attrs(ws: &Workspace, report: &mut Report) {
-    let unsafe_budgets = Baseline::load(&ws.root)
-        .ok()
-        .flatten()
-        .map(|b| b.unsafe_budgets)
-        .unwrap_or_default();
-    let mut roots: Vec<(String, String)> = Vec::new(); // (crate label, root file rel)
-    if ws.sources.contains_key("src/lib.rs") {
-        roots.push(("workspace root".into(), "src/lib.rs".into()));
-    }
-    for c in &ws.crates {
-        for candidate in ["src/lib.rs", "src/main.rs"] {
-            let rel = format!("crates/{}/{candidate}", c.name);
-            if ws.sources.contains_key(&rel) {
-                roots.push((c.name.clone(), rel));
-                break;
-            }
-        }
-    }
-    for (label, rel) in roots {
-        let file = &ws.sources[&rel];
-        let budgeted_unsafe = unsafe_budgets.get(&label).copied().unwrap_or(0) > 0;
-        for attr in ["#![forbid(unsafe_code)]", "#![warn(missing_docs)]"] {
-            let mut present = file.lines.iter().any(|l| l.code.contains(attr));
-            if !present && attr.contains("unsafe_code") && budgeted_unsafe {
-                present = file
-                    .lines
-                    .iter()
-                    .any(|l| l.code.contains("#![deny(unsafe_code)]"));
-            }
-            if !present {
-                report.findings.push(Finding {
-                    rule: "D2",
-                    file: rel.clone(),
-                    line: 1,
-                    message: format!("crate `{label}` is missing `{attr}` (fixable with --fix)"),
-                });
-            }
-        }
     }
 }
 
@@ -726,7 +494,8 @@ pub fn c1_protocol_constants(ws: &Workspace, report: &mut Report) {
     }
 }
 
-/// H1: member Cargo.toml dependencies must all be `workspace = true`.
+/// H1: member Cargo.toml dependencies must all be `workspace = true`,
+/// and every package must take the workspace lints.
 pub fn h1_workspace_deps(ws: &Workspace, report: &mut Report) -> Result<(), String> {
     let mut manifests: Vec<(String, std::path::PathBuf)> = Vec::new();
     let root_manifest = ws.root.join("Cargo.toml");
@@ -748,12 +517,16 @@ pub fn h1_workspace_deps(ws: &Workspace, report: &mut Report) -> Result<(), Stri
     Ok(())
 }
 
-/// Check one manifest's dependency sections.
+/// Check one manifest: its dependency sections, and that a `[package]`
+/// inherits the workspace lints (`[lints]` with `workspace = true`) or
+/// restates both of them under `[lints.rust]`, so a new crate cannot
+/// opt out of `unsafe_code` and `missing_docs`.
 fn h1_check_manifest(rel: &str, text: &str, report: &mut Report) {
-    #[derive(PartialEq)]
     enum Section {
         Other,
         Deps,
+        Lints,
+        LintsRust,
         /// `[dependencies.foo]` subtable: must contain `workspace = true`.
         DepSubtable {
             header_line: usize,
@@ -762,6 +535,10 @@ fn h1_check_manifest(rel: &str, text: &str, report: &mut Report) {
         },
     }
     let mut section = Section::Other;
+    // `[package]` header line and whether it carries an H1 escape.
+    let mut package: Option<(usize, bool)> = None;
+    let mut lints_inherited = false;
+    let mut rust_lints: Vec<(String, String)> = Vec::new();
     let flush = |section: &mut Section, report: &mut Report| {
         if let Section::DepSubtable {
             header_line,
@@ -789,7 +566,14 @@ fn h1_check_manifest(rel: &str, text: &str, report: &mut Report) {
         if line.starts_with('[') {
             flush(&mut section, report);
             let name = line.trim_matches(['[', ']']);
-            section = if name == "workspace.dependencies"
+            if name == "package" {
+                package = Some((idx + 1, has_allow));
+            }
+            section = if name == "lints" {
+                Section::Lints
+            } else if name == "lints.rust" {
+                Section::LintsRust
+            } else if name == "workspace.dependencies"
                 || name.starts_with("workspace.dependencies.")
             {
                 Section::Other
@@ -812,6 +596,12 @@ fn h1_check_manifest(rel: &str, text: &str, report: &mut Report) {
         }
         match &mut section {
             Section::Other => {}
+            Section::Lints => lints_inherited |= line.replace(' ', "") == "workspace=true",
+            Section::LintsRust => {
+                if let Some((key, value)) = line.split_once('=') {
+                    rust_lints.push((key.trim().to_string(), value.to_string()));
+                }
+            }
             Section::DepSubtable { satisfied, .. } => {
                 if line.replace(' ', "") == "workspace=true" {
                     *satisfied = true;
@@ -848,6 +638,38 @@ fn h1_check_manifest(rel: &str, text: &str, report: &mut Report) {
         }
     }
     flush(&mut section, report);
+
+    let Some((line, escaped)) = package else {
+        return;
+    };
+    let restated = |key: &str, levels: &[&str]| {
+        rust_lints
+            .iter()
+            .any(|(k, v)| k == key && levels.iter().any(|l| v.contains(&format!("\"{l}\""))))
+    };
+    if lints_inherited
+        || restated("unsafe_code", &["forbid", "deny"])
+            && restated("missing_docs", &["warn", "deny", "forbid"])
+    {
+        return;
+    }
+    if escaped {
+        report.allows.push(AllowUse {
+            rule: "H1".to_string(),
+            file: rel.to_string(),
+            line,
+        });
+        return;
+    }
+    report.findings.push(Finding {
+        rule: "H1",
+        file: rel.to_string(),
+        line,
+        message: "package does not take the workspace lints: add `[lints]` with \
+                  `workspace = true` (a crate that must relax `unsafe_code` to deny \
+                  restates both lints under `[lints.rust]`)"
+            .to_string(),
+    });
 }
 
 fn is_dep_section(name: &str) -> bool {
@@ -1438,7 +1260,7 @@ mod tests {
     #[test]
     fn h1_manifest_check() {
         let mut report = Report::default();
-        let toml = "[package]\nname = \"x\"\n\n[dependencies]\ngood.workspace = true\nalso = { workspace = true, features = [\"y\"] }\nbad = \"1.0\"\npathdep = { path = \"../other\" }\n\n[dev-dependencies]\nok.workspace = true\n";
+        let toml = "[package]\nname = \"x\"\n\n[dependencies]\ngood.workspace = true\nalso = { workspace = true, features = [\"y\"] }\nbad = \"1.0\"\npathdep = { path = \"../other\" }\n\n[dev-dependencies]\nok.workspace = true\n\n[lints]\nworkspace = true\n";
         h1_check_manifest("crates/x/Cargo.toml", toml, &mut report);
         let deps: Vec<&str> = report
             .findings
@@ -1461,6 +1283,33 @@ mod tests {
         assert!(report.findings[0].message.contains("`foo`"));
         assert_eq!(report.allows.len(), 1);
         assert_eq!(report.allows[0].line, 5);
+    }
+
+    #[test]
+    fn h1_package_must_take_the_workspace_lints() {
+        let check = |toml: &str| {
+            let mut report = Report::default();
+            h1_check_manifest("crates/x/Cargo.toml", toml, &mut report);
+            report
+        };
+        let bare = check("[package]\nname = \"x\"\n\n[dependencies]\n");
+        assert_eq!(bare.findings.len(), 1);
+        assert_eq!(bare.findings[0].line, 1);
+        assert!(bare.findings[0].message.contains("workspace lints"));
+        assert!(check("[package]\nname = \"x\"\n\n[lints]\nworkspace = true\n").is_clean());
+        let restated =
+            "[package]\n\n[lints.rust]\nunsafe_code = \"deny\"\nmissing_docs = \"warn\"\n";
+        assert!(check(restated).is_clean());
+        // Restating only one lint, or allowing one, is an opt-out.
+        assert!(!check("[package]\n\n[lints.rust]\nunsafe_code = \"deny\"\n").is_clean());
+        let relaxed =
+            "[package]\n\n[lints.rust]\nunsafe_code = \"allow\"\nmissing_docs = \"warn\"\n";
+        assert!(!check(relaxed).is_clean());
+        // A virtual manifest has no package to lint.
+        assert!(check("[workspace]\nmembers = [\"crates/*\"]\n").is_clean());
+        let escaped = check("[package] # gfwlint: allow(H1)\nname = \"x\"\n");
+        assert!(escaped.is_clean());
+        assert_eq!(escaped.allows.len(), 1);
     }
 
     #[test]

@@ -1,0 +1,3 @@
+//! Fixture sim crate whose scheduler reads the host clock.
+
+pub mod clock;

@@ -1,17 +1,19 @@
-//! Fixture crypto crate with a wall-clock helper (reachable -> R1).
+//! Fixture crypto crate with hash-ordered helpers (reachable -> R1).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// Milliseconds since the epoch — nondeterministic.
-pub fn now_ms() -> u64 {
-    let t = std::time::SystemTime::now();
-    t.duration_since(std::time::UNIX_EPOCH).map_or(0, |d| d.as_millis() as u64)
+use std::collections::HashMap;
+
+/// The first slot of a keyed table, in whatever order the hash yields.
+pub fn first_slot() -> u64 {
+    let slots: HashMap<u64, u64> = (0..4).map(|k| (k, k * 10)).collect();
+    slots.values().copied().next().unwrap_or(0)
 }
 
-/// Diagnostic-only timer, waived with a justification.
-pub fn trace_ms() -> u64 {
+/// Diagnostic-only dump, waived with a justification.
+pub fn trace_slots() -> Vec<u64> {
+    let slots: HashMap<u64, u64> = HashMap::new();
     // gfwlint: allow(R1) -- diagnostic trace only, never in sim output
-    let t = std::time::Instant::now();
-    t.elapsed().as_millis() as u64
+    slots.keys().copied().collect()
 }

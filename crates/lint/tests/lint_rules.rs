@@ -1,9 +1,13 @@
 //! End-to-end rule tests against the fixture workspaces under
-//! `tests/fixtures/`, asserting exact rule IDs and `file:line` spans.
+//! `tests/fixtures/`, asserting exact rule IDs and `file:line` spans —
+//! for gfw-lint's own rules, and for the clippy bans and workspace
+//! lints that replaced its determinism, thread and heap rules.
 
 use gfw_lint::report::{render_human, render_json};
-use gfw_lint::{bless, fix::fix, run, Options, Report};
+use gfw_lint::{bless, run, Options, Report};
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
+use std::process::Command;
 
 fn fixture_root(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -27,8 +31,8 @@ fn spans(report: &Report) -> Vec<(&str, &str, usize)> {
         .collect()
 }
 
-/// Recursively copy a fixture into a scratch dir so `--fix` / `--bless`
-/// can mutate it.
+/// Recursively copy a fixture into a scratch dir so `--bless` can
+/// mutate it.
 fn copy_to_temp(name: &str) -> PathBuf {
     let dst = std::env::temp_dir().join(format!("gfwlint-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dst);
@@ -58,9 +62,9 @@ fn clean_fixture_is_clean() {
         "expected clean, got:\n{}",
         render_human(&report)
     );
-    // The one D1 escape in core/src/lib.rs is honored and reported.
+    // The one P1 escape in core/src/lib.rs is honored and reported.
     assert_eq!(report.allows.len(), 1);
-    assert_eq!(report.allows[0].rule, "D1");
+    assert_eq!(report.allows[0].rule, "P1");
     assert_eq!(report.allows[0].file, "crates/core/src/lib.rs");
     assert_eq!(report.allows[0].line, 10);
     // Panic counts reflect the single budgeted unwrap in probe.rs.
@@ -69,43 +73,6 @@ fn clean_fixture_is_clean() {
     // Alloc counts cover both hot-path areas, allocation-free here.
     assert_eq!(report.alloc_counts.get("sscrypto"), Some(&0));
     assert_eq!(report.alloc_counts.get("shadowsocks-wire"), Some(&0));
-}
-
-#[test]
-fn d1_flags_thread_rng_and_wall_clock_in_scheduler() {
-    // ISSUE acceptance: seeding a `thread_rng()` call into a
-    // scheduler.rs-like file in a sim crate must fail the lint.
-    let report = lint_fixture("d1_thread_rng");
-    assert_eq!(
-        spans(&report),
-        vec![
-            ("D1", "crates/core/src/scheduler.rs", 3),
-            ("D1", "crates/core/src/scheduler.rs", 8),
-            ("D1", "crates/core/src/scheduler.rs", 14),
-        ],
-        "got:\n{}",
-        render_human(&report)
-    );
-    assert!(report.findings[0].message.contains("`thread_rng`"));
-    assert!(report.findings[2].message.contains("`SystemTime::now`"));
-}
-
-#[test]
-fn d2_flags_missing_crate_attributes() {
-    let report = lint_fixture("d2_missing_attrs");
-    assert_eq!(
-        spans(&report),
-        vec![
-            ("D2", "crates/noattrs/src/lib.rs", 1),
-            ("D2", "crates/noattrs/src/lib.rs", 1),
-        ]
-    );
-    assert!(report.findings[0]
-        .message
-        .contains("#![forbid(unsafe_code)]"));
-    assert!(report.findings[1]
-        .message
-        .contains("#![warn(missing_docs)]"));
 }
 
 #[test]
@@ -179,106 +146,21 @@ fn c1_flags_iv_drift_short_probe_and_hardcoded_wire() {
 }
 
 #[test]
-fn h1_flags_versioned_and_path_deps() {
+fn h1_flags_versioned_and_path_deps_and_a_package_without_lints() {
     let report = lint_fixture("h1_version_dep");
     assert_eq!(
         spans(&report),
         vec![
             ("H1", "crates/app/Cargo.toml", 7),
             ("H1", "crates/app/Cargo.toml", 8),
+            ("H1", "crates/nolints/Cargo.toml", 1),
         ]
     );
     assert!(report.findings[0].message.contains("`rand`"));
     assert!(report.findings[1].message.contains("`bytes`"));
-}
-
-#[test]
-fn t1_flags_threads_outside_the_runner() {
-    let report = lint_fixture("t1_thread_use");
-    assert_eq!(
-        spans(&report),
-        vec![
-            ("T1", "crates/netsim/src/pool.rs", 3),
-            ("T1", "crates/netsim/src/pool.rs", 4),
-            ("T1", "crates/netsim/src/pool.rs", 11),
-            ("T1", "crates/netsim/src/shard.rs", 6),
-        ],
-        "got:\n{}",
-        render_human(&report)
-    );
-    assert!(report.findings[0].message.contains("`std::thread`"));
-    assert!(report.findings[1].message.contains("`std::sync::mpsc`"));
-    assert!(report.findings[2].message.contains("`thread::spawn`"));
-    assert!(report.findings[3].message.contains("`std::thread`"));
-    // `experiments::runner` uses `std::thread::scope` and is the one
-    // exempt file — no finding there; a thread executor inside netsim
-    // is flagged like any other; the waived diagnostic helper's escape
-    // is honored, not flagged.
-    assert!(
-        !report
-            .findings
-            .iter()
-            .any(|f| f.file.ends_with("runner.rs")),
-        "exempt file flagged:\n{}",
-        render_human(&report)
-    );
-    assert_eq!(report.allows.len(), 1);
-    assert_eq!(report.allows[0].rule, "T1");
-    assert_eq!(report.allows[0].file, "crates/netsim/src/pool.rs");
-    assert_eq!(report.allows[0].line, 22);
-}
-
-#[test]
-fn t2_flags_heaps_outside_the_event_queue() {
-    let report = lint_fixture("t2_heap_use");
-    assert_eq!(
-        spans(&report),
-        vec![
-            ("T2", "crates/netsim/src/sched.rs", 4),
-            ("T2", "crates/netsim/src/sched.rs", 9),
-        ],
-        "got:\n{}",
-        render_human(&report)
-    );
-    assert!(report.findings[0].message.contains("`BinaryHeap`"));
-    assert!(report.findings[0].message.contains("netsim::eventq"));
-    // The fixture's own `eventq.rs` keeps its overflow heap (path
-    // exempt); the waived diagnostic helper's escape is honored.
-    assert_eq!(report.allows.len(), 1);
-    assert_eq!(report.allows[0].rule, "T2");
-    assert_eq!(report.allows[0].file, "crates/netsim/src/sched.rs");
-    assert_eq!(report.allows[0].line, 21);
-}
-
-#[test]
-fn fix_inserts_missing_attributes() {
-    let root = copy_to_temp("d2_missing_attrs");
-    let opts = Options { root: root.clone() };
-    let (applied, after) = fix(&opts).expect("fix failed");
-    assert_eq!(applied.len(), 2);
-    assert!(after.is_clean(), "after fix:\n{}", render_human(&after));
-    let text = std::fs::read_to_string(root.join("crates/noattrs/src/lib.rs")).unwrap();
-    assert!(text.contains("#![forbid(unsafe_code)]"));
-    assert!(text.contains("#![warn(missing_docs)]"));
-    // The doc header stays first.
-    assert!(text.starts_with("//!"));
-    let _ = std::fs::remove_dir_all(&root);
-}
-
-#[test]
-fn fix_rewrites_only_workspace_defined_deps() {
-    let root = copy_to_temp("h1_version_dep");
-    let opts = Options { root: root.clone() };
-    let (applied, after) = fix(&opts).expect("fix failed");
-    // `rand` is defined in the root [workspace.dependencies]; `bytes`
-    // is not, so its finding must be left for a human.
-    assert_eq!(applied.len(), 1);
-    assert!(applied[0].what.contains("`rand`"));
-    assert_eq!(spans(&after), vec![("H1", "crates/app/Cargo.toml", 8)]);
-    let text = std::fs::read_to_string(root.join("crates/app/Cargo.toml")).unwrap();
-    assert!(text.contains("rand.workspace = true"));
-    assert!(text.contains("bytes = { path = \"../bytes\" }"));
-    let _ = std::fs::remove_dir_all(&root);
+    // A member manifest with no `[lints]` table would leave the crate
+    // outside `unsafe_code = forbid` and `missing_docs`.
+    assert!(report.findings[2].message.contains("workspace lints"));
 }
 
 #[test]
@@ -307,16 +189,16 @@ fn bless_creates_missing_baseline() {
 
 #[test]
 fn json_output_carries_rules_spans_and_clean_flag() {
-    let report = lint_fixture("d1_thread_rng");
+    let report = lint_fixture("h1_version_dep");
     let json = render_json(&report);
-    assert!(json.contains("\"rule\": \"D1\""));
-    assert!(json.contains("\"file\": \"crates/core/src/scheduler.rs\""));
-    assert!(json.contains("\"line\": 3"));
+    assert!(json.contains("\"rule\": \"H1\""));
+    assert!(json.contains("\"file\": \"crates/app/Cargo.toml\""));
+    assert!(json.contains("\"line\": 7"));
     assert!(json.contains("\"clean\": false"));
     let clean = render_json(&lint_fixture("clean"));
     assert!(clean.contains("\"clean\": true"));
     assert!(
-        clean.contains("\"rule\": \"D1\""),
+        clean.contains("\"rule\": \"P1\""),
         "allows carry their rule"
     );
 }
@@ -335,16 +217,16 @@ fn real_workspace_is_clean() {
 }
 
 #[test]
-fn r1_flags_nondeterminism_reachable_from_the_simulator() {
-    // ISSUE acceptance: a helper chain from an `impl Simulator` method
-    // into a non-sim crate's wall-clock call must fail the lint, as
-    // must hash-ordered map iteration in the simulator itself.
+fn r1_flags_hash_order_reachable_from_the_simulator() {
+    // Hash-ordered iteration in the simulator itself, and in a helper
+    // chain from an `impl Simulator` method into a non-sim crate, must
+    // fail the lint.
     let report = lint_fixture("r1_taint");
     assert_eq!(
         spans(&report),
         vec![
             ("R1", "crates/core/src/sim.rs", 15),
-            ("R1", "crates/sscrypto/src/lib.rs", 8),
+            ("R1", "crates/sscrypto/src/lib.rs", 11),
         ],
         "got:\n{}",
         render_human(&report)
@@ -358,18 +240,21 @@ fn r1_flags_nondeterminism_reachable_from_the_simulator() {
         iter.contains("via core::Simulator::step"),
         "message: {iter}"
     );
-    let clock = &report.findings[1].message;
-    assert!(clock.contains("`SystemTime::now`"), "message: {clock}");
+    let helper = &report.findings[1].message;
     assert!(
-        clock.contains("via core::Simulator::step -> core::stamp_ms -> sscrypto::now_ms"),
-        "taint chain must name every hop: {clock}"
+        helper.contains("iteration over hash-ordered `slots`"),
+        "message: {helper}"
+    );
+    assert!(
+        helper.contains("via core::Simulator::step -> core::pick_slot -> sscrypto::first_slot"),
+        "taint chain must name every hop: {helper}"
     );
     // The `.values().sum()` line is order-neutral and not flagged; the
-    // diagnostic-only `Instant::now` escape is honored.
+    // diagnostic-only dump's escape is honored.
     assert_eq!(report.allows.len(), 1);
     assert_eq!(report.allows[0].rule, "R1");
     assert_eq!(report.allows[0].file, "crates/sscrypto/src/lib.rs");
-    assert_eq!(report.allows[0].line, 15);
+    assert_eq!(report.allows[0].line, 18);
 }
 
 #[test]
@@ -481,9 +366,7 @@ fn json_schema_keys_are_stable_and_ordered() {
 
 #[test]
 fn explain_covers_every_rule() {
-    for rule in [
-        "D1", "D2", "P1", "A1", "C1", "H1", "T1", "T2", "R1", "U1", "W1",
-    ] {
+    for rule in ["P1", "A1", "C1", "H1", "R1", "U1", "W1"] {
         let text =
             gfw_lint::explain::explain(rule).unwrap_or_else(|| panic!("--explain {rule} missing"));
         assert!(text.contains(rule), "{rule}: {text}");
@@ -491,4 +374,247 @@ fn explain_covers_every_rule() {
     }
     assert!(gfw_lint::explain::explain("Z9").is_none());
     assert!(gfw_lint::explain::index().contains("W1"));
+}
+
+#[test]
+fn fix_flag_is_rejected() {
+    let out = Command::new(env!("CARGO_BIN_EXE_gfw-lint"))
+        .arg("--fix")
+        .output()
+        .expect("cannot run gfw-lint");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown argument `--fix`"), "{stderr}");
+}
+
+/// `(file, line, "level: message")` of one clippy or rustc diagnostic.
+type Diag = (String, usize, String);
+
+/// Parse one `--message-format=short` line:
+/// `path:line:col: warning: message` (or `error:`).
+fn parse_short(line: &str) -> Option<Diag> {
+    let mut parts = line.splitn(4, ':');
+    let file = parts.next()?;
+    let line_no = parts.next()?.parse().ok()?;
+    let msg = parts.nth(1)?.trim_start();
+    file.ends_with(".rs")
+        .then(|| (file.to_string(), line_no, msg.to_string()))
+}
+
+/// The lines of `text` from the `header` line up to the next table.
+fn toml_table(text: &str, header: &str) -> String {
+    let mut lines = text.lines().skip_while(|l| l.trim() != header);
+    let first = lines.next().unwrap_or_else(|| panic!("no {header} table"));
+    let body = lines.take_while(|l| !l.starts_with('['));
+    std::iter::once(first)
+        .chain(body)
+        .map(|l| format!("{l}\n"))
+        .collect()
+}
+
+/// Run clippy over a copy of the `clippy_bans` fixture workspace, with
+/// the ban list read from the committed `clippy.toml` in `conf_dir`
+/// (repo-relative) and the real root `[workspace.lints.rust]` table
+/// appended to the fixture manifest, so the test checks the live
+/// configuration rather than a copy. Diagnostics are deduplicated (a
+/// lib and its test build both report) and sorted by file and line.
+fn clippy_fixture(conf_dir: &str, cargo_args: &[&str]) -> Vec<Diag> {
+    let repo = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let tmp = Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let ws = tmp.join(format!("clippy_bans-{}", conf_dir.replace('/', "-")));
+    let _ = std::fs::remove_dir_all(&ws);
+    copy_tree(&fixture_root("clippy_bans"), &ws).expect("fixture copy failed");
+    let root_manifest = std::fs::read_to_string(repo.join("Cargo.toml")).unwrap();
+    let mut manifest = std::fs::read_to_string(ws.join("Cargo.toml")).unwrap();
+    manifest.push('\n');
+    manifest.push_str(&toml_table(&root_manifest, "[workspace.lints.rust]"));
+    std::fs::write(ws.join("Cargo.toml"), manifest).unwrap();
+
+    let cargo = std::env::var_os("CARGO").unwrap_or_else(|| "cargo".into());
+    let out = Command::new(cargo)
+        .current_dir(&ws)
+        .env("CLIPPY_CONF_DIR", repo.join(conf_dir))
+        .env("CARGO_TARGET_DIR", tmp.join("clippy_bans-target"))
+        .args(["clippy", "--offline", "--quiet", "--keep-going"])
+        .args(["--all-targets", "--message-format=short"])
+        .args(cargo_args)
+        .output()
+        .expect("cannot run cargo clippy");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let diags: BTreeSet<Diag> = stderr.lines().filter_map(parse_short).collect();
+    assert!(!diags.is_empty(), "clippy reported nothing:\n{stderr}");
+    diags.into_iter().collect()
+}
+
+/// Assert `got` is exactly `want`, matching each message by substring.
+fn assert_diags(got: &[Diag], want: &[(&str, usize, &str)]) {
+    let render = || {
+        got.iter()
+            .map(|(f, l, m)| format!("  {f}:{l}: {m}\n"))
+            .collect::<String>()
+    };
+    assert_eq!(got.len(), want.len(), "got:\n{}", render());
+    for ((file, line, msg), (wf, wl, wm)) in got.iter().zip(want) {
+        assert!(
+            file == wf && line == wl && msg.contains(wm),
+            "expected {wf}:{wl} `{wm}`, got:\n{}",
+            render()
+        );
+    }
+}
+
+/// The `path = "..."` entry lines of a clippy.toml.
+fn ban_entries(conf: &str) -> BTreeSet<String> {
+    conf.lines()
+        .filter(|l| l.contains("path = \""))
+        .map(|l| l.trim().to_string())
+        .collect()
+}
+
+#[test]
+fn clippy_bans_and_workspace_lints_fire_at_exact_spans() {
+    let got = clippy_fixture(
+        "crates",
+        &["--workspace", "--exclude", "experiments-fixture"],
+    );
+    assert_diags(
+        &got,
+        &[
+            (
+                "crates/core/src/clock.rs",
+                7,
+                "`std::time::SystemTime::now`",
+            ),
+            // Called through `use std::time::Instant as Clock`.
+            ("crates/core/src/clock.rs", 12, "`std::time::Instant::now`"),
+            ("crates/netsim/src/pool.rs", 8, "`std::sync::mpsc::channel`"),
+            ("crates/netsim/src/pool.rs", 11, "`std::thread::spawn`"),
+            (
+                "crates/netsim/src/pool.rs",
+                22,
+                "`std::sync::mpsc::sync_channel`",
+            ),
+            ("crates/netsim/src/pool.rs", 23, "`std::thread::Builder`"),
+            ("crates/netsim/src/pool.rs", 24, "`std::thread::current`"),
+            ("crates/netsim/src/pool.rs", 25, "`std::thread::sleep`"),
+            ("crates/netsim/src/pool.rs", 26, "`std::thread::yield_now`"),
+            ("crates/netsim/src/pool.rs", 27, "`std::thread::park`"),
+            (
+                "crates/netsim/src/pool.rs",
+                28,
+                "`std::thread::available_parallelism`",
+            ),
+            (
+                "crates/netsim/src/sched.rs",
+                4,
+                "`std::collections::BinaryHeap`",
+            ),
+            (
+                "crates/netsim/src/sched.rs",
+                9,
+                "`std::collections::BinaryHeap`",
+            ),
+            (
+                "crates/netsim/src/sched.rs",
+                21,
+                "`std::collections::BinaryHeap`",
+            ),
+            // Test code is banned too; only the heap oracle is exempt.
+            (
+                "crates/netsim/src/sched.rs",
+                28,
+                "`std::collections::BinaryHeap`",
+            ),
+            ("crates/netsim/src/shard.rs", 6, "`std::thread::scope`"),
+            (
+                "crates/noattrs/src/lib.rs",
+                4,
+                "warning: missing documentation",
+            ),
+            // `forbid`, so an error rather than a warning.
+            (
+                "crates/noattrs/src/lib.rs",
+                8,
+                "error: usage of an `unsafe` block",
+            ),
+        ],
+    );
+    // Every entry of the committed ban list is exercised above.
+    let conf =
+        std::fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join("../clippy.toml"))
+            .unwrap();
+    for entry in ban_entries(&conf) {
+        let path = entry.split('"').nth(1).unwrap();
+        assert!(
+            got.iter().any(|(_, _, m)| m.contains(&format!("`{path}`"))),
+            "ban `{path}` has no fixture case"
+        );
+    }
+}
+
+#[test]
+fn experiments_override_allows_only_the_host_clock() {
+    let got = clippy_fixture("crates/experiments", &["-p", "experiments-fixture"]);
+    // `Instant::now` on line 6 is allowed; threads and heaps are not.
+    assert_diags(
+        &got,
+        &[
+            ("crates/experiments/src/lib.rs", 13, "`std::thread::scope`"),
+            (
+                "crates/experiments/src/lib.rs",
+                21,
+                "`std::collections::BinaryHeap`",
+            ),
+            (
+                "crates/experiments/src/lib.rs",
+                22,
+                "`std::collections::BinaryHeap`",
+            ),
+        ],
+    );
+    // Clippy reads only the nearest clippy.toml, so the override repeats
+    // the shared entries: it must match them, minus the clock bans.
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let shared = std::fs::read_to_string(crates.join("clippy.toml")).unwrap();
+    let ours = std::fs::read_to_string(crates.join("experiments/clippy.toml")).unwrap();
+    let expected: BTreeSet<String> = ban_entries(&shared)
+        .into_iter()
+        .filter(|e| !e.contains("\"std::time::"))
+        .collect();
+    assert_eq!(ban_entries(&ours), expected);
+}
+
+#[test]
+fn ban_exemptions_are_the_three_named_allows() {
+    // Each sanctioned use of a banned API is one module-level allow with
+    // a reason; any other `clippy::disallowed_*` escape is a regression.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let ws = gfw_lint::Workspace::load(&root).expect("workspace load failed");
+    let mut found = Vec::new();
+    for (rel, file) in &ws.sources {
+        for (idx, line) in file.lines.iter().enumerate() {
+            if line.code.contains("clippy::disallowed_") {
+                found.push((rel.as_str(), idx + 1));
+            }
+        }
+    }
+    let files: Vec<&str> = found.iter().map(|(f, _)| *f).collect();
+    assert_eq!(
+        files,
+        vec![
+            "crates/experiments/src/runner.rs",
+            "crates/netsim/src/eventq.rs",
+            "crates/netsim/tests/eventq_props.rs",
+        ],
+        "exemptions: {found:?}"
+    );
+    for (rel, line) in found {
+        // The attribute is `#![allow(lint, reason = "...")]`, possibly
+        // wrapped over the next lines.
+        let attr = &ws.sources[rel].lines[line - 1..];
+        assert!(
+            attr.iter().take(3).any(|l| l.code.contains("reason")),
+            "{rel}:{line}: allow without a reason"
+        );
+    }
 }

@@ -34,6 +34,11 @@
 //! pacing and month-scale experiment horizons. The hierarchy keeps
 //! near events O(1) without degrading when a far horizon exists.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "the wheel's far-future overflow store is the one heap behind the event queue"
+)]
+
 use crate::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

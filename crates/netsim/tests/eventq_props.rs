@@ -13,6 +13,11 @@
 //! * pushes at or before already-popped times (the ready-batch
 //!   insertion path).
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "the heap is the reference oracle the timer wheel is checked against"
+)]
+
 use netsim::eventq::EventQueue;
 use netsim::time::SimTime;
 use proptest::prelude::*;

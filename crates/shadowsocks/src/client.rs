@@ -64,54 +64,47 @@ impl ClientSession {
     /// specification (and the IV/salt), producing the first-packet
     /// payload whose length and entropy the GFW inspects.
     pub fn send(&mut self, data: &[u8]) -> Vec<u8> {
-        if !self.spec_sent {
-            self.spec_sent = true;
-            let spec = self.target.encode();
-            match &mut self.enc {
-                Enc::Stream(enc) => {
-                    // A stream cipher's keystream is continuous, so two
-                    // sequential encrypt calls yield the same bytes as
-                    // one call on the concatenation.
-                    let mut out = Vec::new();
-                    enc.encrypt_into(&spec, &mut out);
-                    enc.encrypt_into(data, &mut out);
-                    out
-                }
-                Enc::Aead(enc) => {
-                    let mut out = Vec::new();
-                    if self.merge_first_chunks {
-                        let mut plain = spec;
-                        plain.extend_from_slice(data);
-                        enc.seal_into(&plain, &mut out);
-                    } else {
-                        enc.seal_into(&spec, &mut out);
-                        enc.seal_into(data, &mut out);
-                    }
-                    out
-                }
+        // Both `_into` forms reserve their frame (IV/salt, tags and
+        // `data`) on `out` before writing, so this is one allocation.
+        let mut out = Vec::new();
+        let spec = (!self.spec_sent).then(|| self.target.encode());
+        self.spec_sent = true;
+        match (&mut self.enc, spec) {
+            // A stream cipher's keystream is continuous, so two
+            // sequential encrypt calls yield the same bytes as one call
+            // on the concatenation.
+            (Enc::Stream(enc), Some(spec)) => {
+                enc.encrypt_into(&spec, &mut out);
+                enc.encrypt_into(data, &mut out);
             }
-        } else {
-            match &mut self.enc {
-                Enc::Stream(enc) => enc.encrypt(data),
-                Enc::Aead(enc) => enc.seal(data),
+            (Enc::Aead(enc), Some(mut spec)) if self.merge_first_chunks => {
+                spec.extend_from_slice(data);
+                enc.seal_into(&spec, &mut out);
             }
+            (Enc::Aead(enc), Some(spec)) => {
+                enc.seal_into(&spec, &mut out);
+                enc.seal_into(data, &mut out);
+            }
+            (Enc::Stream(enc), None) => enc.encrypt_into(data, &mut out),
+            (Enc::Aead(enc), None) => enc.seal_into(data, &mut out),
         }
+        out
     }
 
     /// Decrypt bytes received from the server. AEAD authentication
     /// failures return an empty vec (a real client would abort; for the
     /// experiments we only care that no plaintext is produced).
     pub fn recv(&mut self, data: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
         match &mut self.dec {
-            Dec::Stream(dec) => dec.decrypt(data),
+            Dec::Stream(dec) => dec.decrypt_into(data, &mut out),
             Dec::Aead(dec) => {
-                let mut out = Vec::new();
                 // On auth failure `decrypt_into` restores `out` to its
                 // prior (empty) length, matching the old behaviour.
                 let _ = dec.decrypt_into(data, &mut out);
-                out
             }
         }
+        out
     }
 }
 

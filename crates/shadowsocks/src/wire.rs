@@ -56,13 +56,6 @@ impl StreamEncryptor {
         out.extend_from_slice(plain);
         self.cipher.apply(&mut out[start..]);
     }
-
-    /// Encrypt `plain`, prepending the IV on the first call.
-    pub fn encrypt(&mut self, plain: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(plain.len() + self.iv.len());
-        self.encrypt_into(plain, &mut out);
-        out
-    }
 }
 
 /// Decrypting half of a stream-cipher session (one direction).
@@ -128,13 +121,6 @@ impl StreamDecryptor {
                 c.apply(&mut out[start..]);
             }
         }
-    }
-
-    /// Feed ciphertext; returns any newly decrypted plaintext.
-    pub fn decrypt(&mut self, data: &[u8]) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.decrypt_into(data, &mut out);
-        out
     }
 }
 
@@ -205,21 +191,6 @@ impl AeadEncryptor {
         for chunk in plain.chunks(MAX_CHUNK) {
             self.seal_chunk_into(chunk, out);
         }
-    }
-
-    /// Seal one chunk (`plain.len() <= MAX_CHUNK`), prepending the salt
-    /// on the first call.
-    pub fn seal_chunk(&mut self, plain: &[u8]) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.seal_chunk_into(plain, &mut out);
-        out
-    }
-
-    /// Seal arbitrary-length data as a sequence of chunks.
-    pub fn seal(&mut self, plain: &[u8]) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.seal_into(plain, &mut out);
-        out
     }
 }
 
@@ -429,11 +400,14 @@ mod tests {
             let iv = vec![0x5au8; m.iv_len()];
             let mut enc = StreamEncryptor::new(m, &key, iv);
             let mut dec = StreamDecryptor::new(m, &key);
-            let a = enc.encrypt(b"hello ");
-            let b = enc.encrypt(b"world");
-            assert_eq!(a.len(), m.iv_len() + 6, "{}", m.name());
-            let mut plain = dec.decrypt(&a);
-            plain.extend(dec.decrypt(&b));
+            let mut ct = Vec::new();
+            enc.encrypt_into(b"hello ", &mut ct);
+            assert_eq!(ct.len(), m.iv_len() + 6, "{}", m.name());
+            enc.encrypt_into(b"world", &mut ct);
+            let (a, b) = ct.split_at(m.iv_len() + 6);
+            let mut plain = Vec::new();
+            dec.decrypt_into(a, &mut plain);
+            dec.decrypt_into(b, &mut plain);
             assert_eq!(plain, b"hello world", "{}", m.name());
         }
     }
@@ -443,12 +417,13 @@ mod tests {
         let m = Method::Aes256Cfb;
         let key = key_for(m);
         let mut enc = StreamEncryptor::new(m, &key, vec![9u8; 16]);
-        let ct = enc.encrypt(b"payload after split iv");
+        let mut ct = Vec::new();
+        enc.encrypt_into(b"payload after split iv", &mut ct);
         let mut dec = StreamDecryptor::new(m, &key);
         let mut plain = Vec::new();
         // Feed one byte at a time across the IV boundary.
         for b in &ct {
-            plain.extend(dec.decrypt(std::slice::from_ref(b)));
+            dec.decrypt_into(std::slice::from_ref(b), &mut plain);
         }
         assert_eq!(plain, b"payload after split iv");
     }
@@ -460,7 +435,8 @@ mod tests {
             let salt = vec![0x21u8; m.iv_len()];
             let mut enc = AeadEncryptor::new(m, &key, salt);
             let mut dec = AeadDecryptor::new(m, &key);
-            let ct = enc.seal(b"GET / HTTP/1.1\r\nHost: example.com\r\n\r\n");
+            let mut ct = Vec::new();
+            enc.seal_into(b"GET / HTTP/1.1\r\nHost: example.com\r\n\r\n", &mut ct);
             let chunks = dec.decrypt(&ct).unwrap();
             let plain: Vec<u8> = chunks.concat();
             assert_eq!(
@@ -476,11 +452,13 @@ mod tests {
         let m = Method::ChaCha20IetfPoly1305;
         let key = key_for(m);
         let mut enc = AeadEncryptor::new(m, &key, vec![1u8; 32]);
-        let ct = enc.seal_chunk(b"abc");
+        let mut ct = Vec::new();
+        enc.seal_chunk_into(b"abc", &mut ct);
         assert_eq!(ct.len(), 32 + 2 + 16 + 3 + 16);
         // Second frame has no salt.
-        let ct2 = enc.seal_chunk(b"defg");
-        assert_eq!(ct2.len(), 2 + 16 + 4 + 16);
+        ct.clear();
+        enc.seal_chunk_into(b"defg", &mut ct);
+        assert_eq!(ct.len(), 2 + 16 + 4 + 16);
     }
 
     #[test]
@@ -488,7 +466,8 @@ mod tests {
         let m = Method::Aes128Gcm;
         let key = key_for(m);
         let mut enc = AeadEncryptor::new(m, &key, vec![7u8; 16]);
-        let ct = enc.seal(b"chunked delivery");
+        let mut ct = Vec::new();
+        enc.seal_into(b"chunked delivery", &mut ct);
         let mut dec = AeadDecryptor::new(m, &key);
         let mut plain = Vec::new();
         for b in &ct {
@@ -514,7 +493,8 @@ mod tests {
         let m = Method::Aes128Gcm;
         let key = key_for(m);
         let mut enc = AeadEncryptor::new(m, &key, vec![7u8; 16]);
-        let mut ct = enc.seal(b"x");
+        let mut ct = Vec::new();
+        enc.seal_into(b"x", &mut ct);
         ct[16] ^= 1; // flip a bit in the encrypted length
         let mut dec = AeadDecryptor::new(m, &key);
         assert!(dec.decrypt(&ct).is_err());
@@ -525,7 +505,8 @@ mod tests {
         let m = Method::Aes128Gcm;
         let key = key_for(m);
         let mut enc = AeadEncryptor::new(m, &key, vec![7u8; 16]);
-        let mut ct = enc.seal(b"x");
+        let mut ct = Vec::new();
+        enc.seal_into(b"x", &mut ct);
         ct[0] ^= 1; // flip a bit in the salt — the GFW's type R2 probe
         let mut dec = AeadDecryptor::new(m, &key);
         assert!(dec.decrypt(&ct).is_err());
@@ -537,7 +518,8 @@ mod tests {
         let key = key_for(m);
         let mut enc = AeadEncryptor::new(m, &key, vec![3u8; 32]);
         let big: Vec<u8> = (0..100_000u32).map(|i| i as u8).collect();
-        let ct = enc.seal(&big);
+        let mut ct = Vec::new();
+        enc.seal_into(&big, &mut ct);
         let mut dec = AeadDecryptor::new(m, &key);
         let plain: Vec<u8> = dec.decrypt(&ct).unwrap().concat();
         assert_eq!(plain, big);

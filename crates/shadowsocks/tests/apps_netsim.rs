@@ -16,12 +16,15 @@ use sscrypto::method::Method;
 use std::cell::RefCell;
 use std::rc::Rc;
 
+/// A buffer the test reads back after the app filled it in the sim.
+type Shared<T> = Rc<RefCell<Vec<T>>>;
+
 struct ProxyClient {
     config: ServerConfig,
     target: TargetAddr,
     request: Vec<u8>,
-    received: Rc<RefCell<Vec<u8>>>,
-    events: Rc<RefCell<Vec<String>>>,
+    received: Shared<u8>,
+    events: Shared<String>,
     session: Option<ClientSession>,
     rng: StdRng,
 }
@@ -94,7 +97,7 @@ fn proxy_client(
     world: &mut World,
     config: &ServerConfig,
     target: TargetAddr,
-) -> (Rc<RefCell<Vec<u8>>>, Rc<RefCell<Vec<String>>>) {
+) -> (Shared<u8>, Shared<String>) {
     let received = Rc::new(RefCell::new(Vec::new()));
     let events = Rc::new(RefCell::new(Vec::new()));
     let app = world.sim.add_app(Box::new(ProxyClient {
@@ -184,7 +187,7 @@ fn idle_connection_closed_by_server_timeout() {
     let mut world = build(&config);
     // A client that connects, completes the handshake, and never sends.
     struct Mute {
-        events: Rc<RefCell<Vec<String>>>,
+        events: Shared<String>,
     }
     impl App for Mute {
         fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx) {

@@ -68,13 +68,13 @@ proptest! {
         let mut enc = StreamEncryptor::new(m, &key, iv);
         let mut ct = Vec::new();
         for part in segments(&plain, &enc_cuts) {
-            ct.extend(enc.encrypt(&part));
+            enc.encrypt_into(&part, &mut ct);
         }
 
         let mut dec = StreamDecryptor::new(m, &key);
         let mut got = Vec::new();
         for seg in segments(&ct, &dec_cuts) {
-            got.extend(dec.decrypt(&seg));
+            dec.decrypt_into(&seg, &mut got);
         }
         prop_assert!(dec.iv_complete());
         prop_assert_eq!(&got, &plain, "{}", m.name());
@@ -99,7 +99,7 @@ proptest! {
         let mut enc = AeadEncryptor::new(m, &key, salt);
         let mut ct = Vec::new();
         for part in segments(&plain, &enc_cuts) {
-            ct.extend(enc.seal(&part));
+            enc.seal_into(&part, &mut ct);
         }
 
         let mut dec = AeadDecryptor::new(m, &key);
@@ -119,12 +119,12 @@ proptest! {
         prop_assert_eq!(&got, &plain, "{}", m.name());
     }
 
-    /// Zero-copy API equivalence: `encrypt_into`/`seal_into` appending
-    /// to one reused scratch buffer produce exactly the bytes the
-    /// Vec-returning APIs produce, call for call, under arbitrary
-    /// plaintext segmentation.
+    /// The `_into` forms work in place on `out`'s tail: appending every
+    /// segment to one reused buffer produces exactly the bytes of
+    /// sealing each segment into a fresh buffer, call for call, under
+    /// arbitrary plaintext segmentation.
     #[test]
-    fn seal_into_matches_vec_api(
+    fn into_forms_append_at_any_offset(
         smidx in 0usize..8,
         amidx in 0usize..8,
         plain in proptest::collection::vec(any::<u8>(), 1..3000),
@@ -134,29 +134,33 @@ proptest! {
         let m = pick(Kind::Stream, smidx);
         let key = key_for(m);
         let iv = vec![0x5eu8; m.iv_len()];
-        let mut old = StreamEncryptor::new(m, &key, iv.clone());
-        let mut new = StreamEncryptor::new(m, &key, iv);
-        let mut old_ct = Vec::new();
-        let mut new_ct = Vec::new();
+        let mut per_call = StreamEncryptor::new(m, &key, iv.clone());
+        let mut reused = StreamEncryptor::new(m, &key, iv);
+        let mut fresh_ct = Vec::new();
+        let mut reused_ct = Vec::new();
         for part in segments(&plain, &cuts) {
-            old_ct.extend(old.encrypt(&part));
-            new.encrypt_into(&part, &mut new_ct);
+            let mut fresh = Vec::new();
+            per_call.encrypt_into(&part, &mut fresh);
+            fresh_ct.extend(fresh);
+            reused.encrypt_into(&part, &mut reused_ct);
         }
-        prop_assert_eq!(&old_ct, &new_ct, "{}", m.name());
+        prop_assert_eq!(&fresh_ct, &reused_ct, "{}", m.name());
 
         // AEAD construction.
         let m = pick(Kind::Aead, amidx);
         let key = key_for(m);
         let salt = vec![0x6fu8; m.iv_len()];
-        let mut old = AeadEncryptor::new(m, &key, salt.clone());
-        let mut new = AeadEncryptor::new(m, &key, salt);
-        let mut old_ct = Vec::new();
-        let mut new_ct = Vec::new();
+        let mut per_call = AeadEncryptor::new(m, &key, salt.clone());
+        let mut reused = AeadEncryptor::new(m, &key, salt);
+        let mut fresh_ct = Vec::new();
+        let mut reused_ct = Vec::new();
         for part in segments(&plain, &cuts) {
-            old_ct.extend(old.seal(&part));
-            new.seal_into(&part, &mut new_ct);
+            let mut fresh = Vec::new();
+            per_call.seal_into(&part, &mut fresh);
+            fresh_ct.extend(fresh);
+            reused.seal_into(&part, &mut reused_ct);
         }
-        prop_assert_eq!(&old_ct, &new_ct, "{}", m.name());
+        prop_assert_eq!(&fresh_ct, &reused_ct, "{}", m.name());
     }
 
     /// Zero-copy API equivalence on the receive side: for any
@@ -175,7 +179,8 @@ proptest! {
         let m = pick(Kind::Aead, midx);
         let key = key_for(m);
         let mut enc = AeadEncryptor::new(m, &key, vec![0x51u8; m.iv_len()]);
-        let mut ct = enc.seal(&plain);
+        let mut ct = Vec::new();
+        enc.seal_into(&plain, &mut ct);
         // A quarter of the cases tamper with the ciphertext so the two
         // APIs are also compared on the auth-failure path.
         if tamper_sel == 0 {
@@ -226,7 +231,8 @@ proptest! {
         let m = pick(Kind::Aead, midx);
         let key = key_for(m);
         let mut enc = AeadEncryptor::new(m, &key, vec![0x42u8; m.iv_len()]);
-        let mut ct = enc.seal(&plain);
+        let mut ct = Vec::new();
+        enc.seal_into(&plain, &mut ct);
 
         // Flip one bit anywhere in the ciphertext, salt included — a
         // salt flip derives the wrong subkey, so the first tag check

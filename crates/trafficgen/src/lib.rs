@@ -12,9 +12,6 @@
 //! This crate builds all of those, both as pure payload generators and
 //! as `netsim` driver applications.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod browse;
 pub mod drivers;
 pub mod mix;

@@ -42,11 +42,13 @@ proptest! {
         let key = gfwsim::sscrypto::kdf::evp_bytes_to_key(b"prop-pw", m.key_len());
         let iv = vec![0x33u8; m.iv_len()];
         let mut enc = StreamEncryptor::new(m, &key, iv);
-        let wire = enc.encrypt(&payload);
+        let mut wire = Vec::new();
+        enc.encrypt_into(&payload, &mut wire);
         let mut dec = StreamDecryptor::new(m, &key);
         let cut = split.min(wire.len());
-        let mut plain = dec.decrypt(&wire[..cut]);
-        plain.extend(dec.decrypt(&wire[cut..]));
+        let mut plain = Vec::new();
+        dec.decrypt_into(&wire[..cut], &mut plain);
+        dec.decrypt_into(&wire[cut..], &mut plain);
         prop_assert_eq!(plain, payload);
     }
 
@@ -62,7 +64,8 @@ proptest! {
         let key = gfwsim::sscrypto::kdf::evp_bytes_to_key(b"prop-pw", m.key_len());
         let salt = vec![0x44u8; m.iv_len()];
         let mut enc = AeadEncryptor::new(m, &key, salt);
-        let wire = enc.seal(&payload);
+        let mut wire = Vec::new();
+        enc.seal_into(&payload, &mut wire);
         let mut dec = AeadDecryptor::new(m, &key);
         let c1 = a.min(wire.len());
         let c2 = (c1 + b).min(wire.len());
@@ -86,7 +89,8 @@ proptest! {
     ) {
         let key = gfwsim::sscrypto::kdf::evp_bytes_to_key(b"prop-pw", m.key_len());
         let mut enc = AeadEncryptor::new(m, &key, vec![0x55u8; m.iv_len()]);
-        let mut wire = enc.seal(&payload);
+        let mut wire = Vec::new();
+        enc.seal_into(&payload, &mut wire);
         let pos = (flip_pos_seed as usize) % wire.len();
         wire[pos] ^= 1 << flip_bit;
         let mut dec = AeadDecryptor::new(m, &key);
