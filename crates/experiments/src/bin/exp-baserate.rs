@@ -16,9 +16,11 @@
 //!   `BENCH_baserate.json` with flows/sec and peak RSS for
 //!   100k-flow mixes under both engines plus the 1M-flow mix under
 //!   the hybrid engine.
-//! * `exp-baserate --measure <engine> <flows>` — child mode: runs one
-//!   configuration and prints `key=value` lines for the parent.
+//! * `exp-baserate --measure <flows>` — child mode: runs one
+//!   configuration under `GFWSIM_ENGINE` and prints `key=value` lines
+//!   for the parent.
 
+use experiments::benchfile::{self, Bench, BenchFile, Host, Metrics};
 use experiments::figures::baserate;
 use experiments::runner;
 use experiments::Scale;
@@ -30,146 +32,43 @@ const SEED: u64 = 2020;
 /// middle of the sweep and keeps the Shadowsocks side non-trivial.
 const BENCH_BASE_RATE: u64 = 1_000;
 
-struct Config {
-    engine: EngineMode,
-    flows: usize,
-    /// JSON key stem, e.g. `mix_100k_hybrid`.
-    stem: &'static str,
-}
-
-const CONFIGS: &[Config] = &[
-    Config {
-        engine: EngineMode::Packet,
-        flows: 100_000,
-        stem: "mix_100k_packet",
-    },
-    Config {
-        engine: EngineMode::Hybrid,
-        flows: 100_000,
-        stem: "mix_100k_hybrid",
-    },
-    Config {
-        engine: EngineMode::Hybrid,
-        flows: 1_000_000,
-        stem: "mix_1m_hybrid",
-    },
+/// `(JSON key stem, GFWSIM_ENGINE, background flows)`.
+const CONFIGS: &[(&str, &str, usize)] = &[
+    ("mix_100k_packet", "packet", 100_000),
+    ("mix_100k_hybrid", "hybrid", 100_000),
+    ("mix_1m_hybrid", "hybrid", 1_000_000),
 ];
 
-/// One measured configuration, as reported by a `--measure` child.
-struct Row {
-    stem: &'static str,
-    flows: usize,
-    inspected: u64,
-    wall_ms: f64,
-    flows_per_sec: f64,
-    rss_kb: u64,
-}
-
-fn engine_name(e: EngineMode) -> &'static str {
-    match e {
-        EngineMode::Packet => "packet",
-        EngineMode::Hybrid => "hybrid",
-    }
-}
-
-fn run_measure(engine: EngineMode, flows: usize) {
+fn run_measure(flows: usize) {
     let started = std::time::Instant::now();
-    let p = baserate::measure(engine, flows, BENCH_BASE_RATE, SEED);
-    let wall = started.elapsed();
+    let p = baserate::measure(experiments::engine_mode(), flows, BENCH_BASE_RATE, SEED);
     let total = flows + p.ss_flows;
-    let fps = total as f64 / wall.as_secs_f64().max(1e-9);
-    println!("flows={total}");
-    println!("inspected={}", p.verdicts.inspected);
-    println!("wall_ms={:.1}", wall.as_secs_f64() * 1e3);
-    println!("flows_per_sec={fps:.1}");
-    println!("rss_kb={}", runner::peak_rss_kb());
-}
-
-fn parse_kv(output: &str, key: &str) -> Option<f64> {
-    output
-        .lines()
-        .find_map(|l| l.strip_prefix(&format!("{key}=")))
-        .and_then(|v| v.trim().parse().ok())
-}
-
-fn spawn_child(cfg: &Config) -> Row {
-    let exe = std::env::current_exe().expect("exp-baserate: current_exe");
-    let out = std::process::Command::new(exe)
-        .arg("--measure")
-        .arg(engine_name(cfg.engine))
-        .arg(cfg.flows.to_string())
-        .output()
-        .expect("exp-baserate: spawn child");
-    assert!(
-        out.status.success(),
-        "exp-baserate: child {} failed:\n{}",
-        cfg.stem,
-        String::from_utf8_lossy(&out.stderr)
+    benchfile::print_measurement(
+        total,
+        started.elapsed(),
+        &[("flows", total as u64), ("inspected", p.verdicts.inspected)],
     );
-    let text = String::from_utf8_lossy(&out.stdout).into_owned();
-    let get = |k: &str| {
-        parse_kv(&text, k)
-            .unwrap_or_else(|| panic!("exp-baserate: child {} missing key {k}", cfg.stem))
-    };
-    Row {
-        stem: cfg.stem,
-        flows: get("flows") as usize,
-        inspected: get("inspected") as u64,
-        wall_ms: get("wall_ms"),
-        flows_per_sec: get("flows_per_sec"),
-        rss_kb: get("rss_kb") as u64,
-    }
-}
-
-fn write_json(path: &str, rows: &[Row], speedup_100k: f64) {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": 1,\n");
-    s.push_str("  \"bench\": \"baserate\",\n");
-    s.push_str("  \"mode\": \"full\",\n");
-    s.push_str(&format!("  \"seed\": {SEED},\n"));
-    for r in rows {
-        s.push_str(&format!(
-            "  \"{}_flows_per_sec\": {:.1},\n",
-            r.stem, r.flows_per_sec
-        ));
-        s.push_str(&format!("  \"{}_rss_kb\": {},\n", r.stem, r.rss_kb));
-        s.push_str(&format!("  \"{}_wall_ms\": {:.1},\n", r.stem, r.wall_ms));
-    }
-    s.push_str(&format!("  \"speedup_mix_100k\": {speedup_100k:.2}\n"));
-    s.push_str("}\n");
-    std::fs::write(path, s).unwrap_or_else(|e| panic!("exp-baserate: write {path}: {e}"));
 }
 
 fn run_bench(out_path: &str) {
     println!("== exp-baserate bench ==  (seed {SEED}, one child process per configuration)\n");
-    let mut rows = Vec::with_capacity(CONFIGS.len());
-    for cfg in CONFIGS {
-        let row = spawn_child(cfg);
+    let mut metrics = Metrics::new();
+    for &(stem, engine, flows) in CONFIGS {
+        let row = benchfile::measure_child(stem, engine, &[flows], &mut metrics);
         assert_eq!(
-            row.inspected, row.flows as u64,
-            "exp-baserate: {} inspected {} of {} flows",
-            row.stem, row.inspected, row.flows
+            row["inspected"], row["flows"],
+            "exp-baserate: {stem} did not inspect every flow"
         );
-        println!(
-            "{:<16} {:>9} flows  {:>10.1} ms  {:>10.1} flows/s  {:>9} kB",
-            row.stem, row.flows, row.wall_ms, row.flows_per_sec, row.rss_kb
-        );
-        rows.push(row);
     }
-
-    let packet_100k = rows
-        .iter()
-        .find(|r| r.stem == "mix_100k_packet")
-        .expect("exp-baserate: mix_100k_packet row");
-    let hybrid_100k = rows
-        .iter()
-        .find(|r| r.stem == "mix_100k_hybrid")
-        .expect("exp-baserate: mix_100k_hybrid row");
-    let speedup = hybrid_100k.flows_per_sec / packet_100k.flows_per_sec.max(1e-9);
-    println!("\nspeedup at 100k mixed flows: {speedup:.2}x (hybrid over packet)");
-
-    write_json(out_path, &rows, speedup);
+    let file = BenchFile {
+        bench: Bench::Baserate,
+        quick: false,
+        seed: SEED,
+        host: Host::probe(),
+        metrics,
+    };
+    file.write(out_path)
+        .unwrap_or_else(|e| panic!("exp-baserate: write {out_path}: {e}"));
     println!("wrote {out_path}");
 }
 
@@ -178,16 +77,11 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
 
     if let Some(i) = args.iter().position(|a| a == "--measure") {
-        let engine = match args.get(i + 1).map(String::as_str) {
-            Some("packet") => EngineMode::Packet,
-            Some("hybrid") => EngineMode::Hybrid,
-            other => panic!("exp-baserate --measure: bad engine {other:?}"),
-        };
         let flows: usize = args
-            .get(i + 2)
+            .get(i + 1)
             .and_then(|v| v.parse().ok())
             .expect("exp-baserate --measure: bad flow count");
-        run_measure(engine, flows);
+        run_measure(flows);
         return;
     }
 

@@ -29,6 +29,7 @@
 //! carries assertable fields used by both the crate tests and the
 //! Criterion benches in `crates/bench`.
 
+pub mod benchfile;
 pub mod export;
 pub mod figures;
 pub mod report;

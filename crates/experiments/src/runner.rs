@@ -1,7 +1,7 @@
 //! The deterministic parallel run engine.
 //!
 //! Every experiment in this crate is a pure function of its seed
-//! (the clock bans in `crates/clippy.toml`), which makes the evaluation grid embarrassingly
+//! (the clock bans in the root `clippy.toml`), which makes the evaluation grid embarrassingly
 //! parallel with **zero determinism risk**:
 //!
 //! * a [`Job`] is plain `Send` data (a spec) plus the computation that
@@ -18,7 +18,7 @@
 //! across figures in `exp-all` never oversubscribes the machine.
 //!
 //! Thread primitives are permitted only in this module: the thread bans
-//! in `crates/clippy.toml` and `crates/experiments/clippy.toml` have
+//! in `clippy.toml` and `crates/experiments/clippy.toml` have
 //! this one exemption, so the simulation crates stay single-threaded.
 
 #![allow(

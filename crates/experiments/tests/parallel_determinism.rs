@@ -98,3 +98,19 @@ fn unknown_only_id_is_rejected() {
         "stderr: {err}"
     );
 }
+
+#[test]
+fn exp_scale_unknown_argument_exits_2_and_writes_nothing() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("exp-scale-cli");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_exp-scale"))
+        .arg("--quik")
+        .current_dir(&dir)
+        .output()
+        .expect("spawn exp-scale");
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown argument `--quik`"), "stderr: {err}");
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
+}

@@ -1,6 +1,6 @@
 //! The R1 determinism-taint engine: a name-based call graph.
 //!
-//! The host clock is banned crate-wide by clippy (`crates/clippy.toml`),
+//! The host clock is banned workspace-wide by clippy (root `clippy.toml`),
 //! but a sim can also lose determinism through iteration order: a
 //! function that walks a `HashMap`/`HashSet` in an output-ordering
 //! position. No clippy lint knows which functions a simulator reaches,

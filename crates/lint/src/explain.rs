@@ -72,7 +72,7 @@ pub const RULES: &[RuleDoc] = &[
                     stray `.iter()` makes two identically-seeded runs diverge. \
                     The graph is name-based and over-approximate on purpose: \
                     dyn-dispatch never escapes it. Host-clock calls are banned \
-                    crate-wide by clippy (`crates/clippy.toml`), which resolves \
+                    workspace-wide by clippy (the root `clippy.toml`), which resolves \
                     paths and so also sees renamed imports.",
         escape: "`// gfwlint: allow(R1)` on the source line, after convincing \
                  yourself the order cannot reach simulator output; or switch \

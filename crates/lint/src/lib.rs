@@ -19,7 +19,7 @@
 //! | `W1` | In the hot-path modules (`sscrypto`, `netsim::eventq`, `gfw_core::passive`, `shadowsocks::wire`), bare `+`/`*`/`<<` (and their `=`-compounds) on integer state crossing a function boundary (params, `self` fields) must be `wrapping_*`/`checked_*`/`saturating_*` or carry an allow. |
 //!
 //! The rules clippy and Cargo express are theirs: the host-clock,
-//! thread and `BinaryHeap` bans live in `crates/clippy.toml`, and
+//! thread and `BinaryHeap` bans live in the root `clippy.toml`, and
 //! `unsafe_code`/`missing_docs` in the root `[workspace.lints.rust]`.
 //!
 //! Individual findings can be suppressed with an inline escape —

@@ -48,7 +48,7 @@ fn parse_args() -> Result<Args, String> {
                      lints, R1 determinism taint (hash-order iteration reachable from\n\
                      the Simulator), U1 unsafe/SAFETY audit, W1 wrapping-arithmetic\n\
                      discipline on the hot path. The clock, thread and heap bans are\n\
-                     clippy's (crates/clippy.toml).\n\
+                     clippy's (clippy.toml).\n\
                      Suppress one finding with `// gfwlint: allow(RULE)`.\n\n\
                      --root DIR     lint this workspace (default: nearest enclosing workspace)\n\
                      --json         machine-readable output (incl. per-function budget sites)\n\

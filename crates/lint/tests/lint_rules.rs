@@ -473,10 +473,7 @@ fn ban_entries(conf: &str) -> BTreeSet<String> {
 
 #[test]
 fn clippy_bans_and_workspace_lints_fire_at_exact_spans() {
-    let got = clippy_fixture(
-        "crates",
-        &["--workspace", "--exclude", "experiments-fixture"],
-    );
+    let got = clippy_fixture(".", &["--workspace", "--exclude", "experiments-fixture"]);
     assert_diags(
         &got,
         &[
@@ -541,7 +538,7 @@ fn clippy_bans_and_workspace_lints_fire_at_exact_spans() {
     );
     // Every entry of the committed ban list is exercised above.
     let conf =
-        std::fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join("../clippy.toml"))
+        std::fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join("../../clippy.toml"))
             .unwrap();
     for entry in ban_entries(&conf) {
         let path = entry.split('"').nth(1).unwrap();
@@ -574,14 +571,71 @@ fn experiments_override_allows_only_the_host_clock() {
     );
     // Clippy reads only the nearest clippy.toml, so the override repeats
     // the shared entries: it must match them, minus the clock bans.
-    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
-    let shared = std::fs::read_to_string(crates.join("clippy.toml")).unwrap();
-    let ours = std::fs::read_to_string(crates.join("experiments/clippy.toml")).unwrap();
+    let repo = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let shared = std::fs::read_to_string(repo.join("clippy.toml")).unwrap();
+    let ours = std::fs::read_to_string(repo.join("crates/experiments/clippy.toml")).unwrap();
     let expected: BTreeSet<String> = ban_entries(&shared)
         .into_iter()
         .filter(|e| !e.contains("\"std::time::"))
         .collect();
     assert_eq!(ban_entries(&ours), expected);
+}
+
+#[test]
+fn every_package_resolves_the_intended_clippy_toml() {
+    // Clippy reads the nearest clippy.toml at or above a package's
+    // manifest, so where the files sit decides which bans each package
+    // gets. Only the three overrides may differ from the root file.
+    let repo = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let cargo = std::env::var_os("CARGO").unwrap_or_else(|| "cargo".into());
+    let out = Command::new(cargo)
+        .current_dir(&repo)
+        .args([
+            "metadata",
+            "--offline",
+            "--no-deps",
+            "--format-version",
+            "1",
+        ])
+        .output()
+        .expect("cannot run cargo metadata");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let meta = String::from_utf8(out.stdout).unwrap();
+    let field = |name: &str| -> Vec<PathBuf> {
+        meta.split(&format!("\"{name}\":\""))
+            .skip(1)
+            .map(|s| PathBuf::from(&s[..s.find('"').unwrap()]))
+            .collect()
+    };
+    let root = field("workspace_root").remove(0);
+    let mut packages = Vec::new();
+    for manifest in field("manifest_path") {
+        let dir = manifest.parent().unwrap();
+        let rel = dir.strip_prefix(&root).unwrap();
+        let conf = dir
+            .ancestors()
+            .find(|d| d.join("clippy.toml").exists() || d.join(".clippy.toml").exists())
+            .unwrap_or_else(|| panic!("{rel:?} resolves no clippy.toml"));
+        assert!(!conf.join(".clippy.toml").exists(), "{conf:?}");
+        let want = match rel.components().next().map(|c| c.as_os_str()) {
+            _ if rel.starts_with("crates/experiments") => "crates/experiments",
+            _ if rel.starts_with("crates/bench") => "crates/bench",
+            Some(top) if top == "vendor" => "vendor",
+            _ => "",
+        };
+        assert_eq!(
+            conf.strip_prefix(&root).ok(),
+            Some(Path::new(want)),
+            "{rel:?}"
+        );
+        packages.push(rel.to_path_buf());
+    }
+    assert!(packages.contains(&PathBuf::new()), "root package missing");
+    assert!(packages.len() > 10, "{packages:?}");
 }
 
 #[test]
